@@ -13,7 +13,6 @@ from .core import (
     EdgeRecord,
     EvolvingGraph,
     TemporalNode,
-    TimeIndex,
     build_graph,
 )
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     TimeOrderError,
     TooLargeError,
 )
-from .traversal import ReachedMap, bfs, distance, is_reachable, reverse_time
+from .traversal import ReachedMap, bfs, distance, is_reachable
 
 __version__ = "0.1.0"
 
@@ -35,13 +34,11 @@ __all__ = [
     "EdgeRecord",
     "EvolvingGraph",
     "TemporalNode",
-    "TimeIndex",
     "build_graph",
     "ReachedMap",
     "bfs",
     "distance",
     "is_reachable",
-    "reverse_time",
     "EvographError",
     "EmptyGraphError",
     "InactiveRootError",

@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import (
-    InactiveRootError,
     PathCountOverflowError,
     ShapeError,
     TimeOrderError,
@@ -46,11 +45,6 @@ class SliceMatrix:
     time_index: int
     time_label: int
     matrix: sp.csc_matrix
-
-
-def slice_matrix(g: EvolvingGraph, time_label: int) -> SliceMatrix:
-    t = g.time_index(time_label)
-    return _build_slice(g, t)
 
 
 def slice_matrices(g: EvolvingGraph) -> list[SliceMatrix]:
@@ -99,12 +93,6 @@ class BlockVector:
     @property
     def num_nodes(self):
         return len(self.keys)
-
-    def entry(self, tn: TemporalNodeLike) -> int:
-        node, lab = _as_pair(tn)
-        t = self.labels.index(lab)
-        v = self.keys.index(node)
-        return int(self.blocks[t][v])
 
     def is_zero(self) -> bool:
         return all(not blk.any() for blk in self.blocks)
@@ -277,22 +265,6 @@ def odot(g: EvolvingGraph, t_label: int, b) -> np.ndarray:
     return b * _active_mask(g, g.time_index(t_label))
 
 
-def block_matvec(g: EvolvingGraph, bv: BlockVector) -> BlockVector:
-    """One transpose product with the temporal adjacency.
-
-    Builds a transient operator; construct a BlockMatrix directly when
-    multiplying repeatedly.
-    """
-    return BlockMatrix(g).matvec(bv)
-
-
-def _resolve_active(g: EvolvingGraph, tn: TemporalNodeLike):
-    node, lab = _as_pair(tn)
-    if not g.is_active(node, lab):
-        raise InactiveRootError(f"({node!r}, {lab}) is not an active temporal node")
-    return g.node_id(node), g.time_index(lab)
-
-
 def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
     """Traversal by repeated block matvec.
 
@@ -302,13 +274,12 @@ def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
     vector is clamped to 0/1 between products: only the nonzero pattern
     matters here, and the clamp keeps dense cyclic inputs from overflowing.
 
-    Raises InactiveRootError for inactive roots.
+    Raises InactiveRootError for an inactive or unknown root.
     """
     op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
     graph = op.graph
-    rid, rt = _resolve_active(graph, root)
-    node, lab = _as_pair(root)
-    root_tn = TemporalNode(node, lab)
+    root_tn = TemporalNode(*_as_pair(root))
+    rt, rid = graph.require_active(root_tn)
 
     blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
     blocks[rt][rid] = 1
@@ -320,7 +291,9 @@ def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
     k = 0
     while any(blk.any() for blk in blocks):
         k += 1
-        assert k <= bound, "block traversal exceeded the active-node iteration bound"
+        if k > bound:
+            raise RuntimeError(
+                "block traversal exceeded the active-node iteration bound")
         blocks = op._matvec_blocks(blocks)
         for t, blk in enumerate(blocks):
             np.minimum(blk, 1, out=blk)
@@ -359,6 +332,8 @@ def count_temporal_paths(
     blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
     blocks[graph.time_index(s_lab)][graph.node_id(s_node)] = 1
     for _ in range(hops):
+        if not any(blk.any() for blk in blocks):
+            return 0  # every longer path count is zero too
         blocks = op._matvec_blocks(blocks)
     return int(blocks[graph.time_index(d_lab)][graph.node_id(d_node)])
 
@@ -366,10 +341,10 @@ def count_temporal_paths(
 def dense_reference_matvec(g: EvolvingGraph, bv: BlockVector) -> BlockVector:
     """Transpose product via the materialized dense matrix.
 
-    Slow-path cross-check for ``block_matvec``; restricted to graphs with at
-    most 5000 active temporal nodes (TooLargeError above that).  Entries of
-    the input sitting on inactive temporal nodes are annihilated, exactly as
-    the implicit product does.
+    Slow-path cross-check for ``BlockMatrix.matvec``; restricted to graphs
+    with at most 5000 active temporal nodes (TooLargeError above that).
+    Entries of the input sitting on inactive temporal nodes are annihilated,
+    exactly as the implicit product does.
     """
     op = BlockMatrix(g)
     if op.num_active > 5000:
@@ -433,7 +408,8 @@ def nilpotency_index(g: EvolvingGraph) -> int | None:
                 best_later[v] = cur
 
     index = 1 + max(longest.values(), default=0)
-    assert index <= g.num_active() + 1
+    if index > g.num_active() + 1:
+        raise RuntimeError("nilpotency index exceeds the active-node count plus one")
     return index
 
 

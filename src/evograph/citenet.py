@@ -12,24 +12,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .core import EvolvingGraph, TemporalNode, build_graph
-from .errors import EmptyGraphError, InactiveRootError, ParseError
-from .traversal import bfs, reverse_time
+from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
+from .errors import EmptyGraphError
+from .traversal import bfs
 
 log = logging.getLogger(__name__)
 
 # orientation markers recorded on reports
 FORWARD = "influence (edges traversed cited-to-citing, time forward)"
 BACKWARD = "influencers (edges traversed citing-to-cited, time backward)"
-
-
-@dataclass(frozen=True)
-class CitationRecord:
-    """One citation: ``citing`` cites ``cited`` in ``year``."""
-
-    citing: str
-    cited: str
-    year: int
 
 
 @dataclass
@@ -91,58 +82,29 @@ def _normalize(name: str, policy: str) -> str:
     raise ValueError(f"unknown name mapping policy {policy!r}")
 
 
-def parse_citations(path, name_policy: str = "exact") -> tuple[list[CitationRecord], IngestionSummary]:
-    """Read a citation TSV; ``#`` lines and blank lines are skipped.
-
-    Malformed rows (wrong field count, empty names, non-integer year) raise
-    ParseError with the offending line number.
-    """
-    records = []
-    summary = IngestionSummary()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            summary.lines += 1
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                summary.comments += 1
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}", line_no
-                )
-            citing = _normalize(parts[0].strip(), name_policy)
-            cited = _normalize(parts[1].strip(), name_policy)
-            if not citing or not cited:
-                raise ParseError("empty author name", line_no)
-            try:
-                year = int(parts[2].strip())
-            except ValueError:
-                raise ParseError(f"year is not an integer: {parts[2]!r}", line_no) from None
-            records.append(CitationRecord(citing, cited, year))
-            summary.records += 1
-    return records, summary
-
-
 def load_citations(path, name_policy: str = "exact") -> tuple[EvolvingGraph, IngestionSummary]:
     """Build the citing-to-cited evolving graph from a citation file.
 
+    Rows are ``citing<TAB>cited<TAB>year``; ``#`` lines and blank lines are
+    skipped, and a malformed row raises ParseError with its line number.
+    Names are mapped through ``name_policy`` ("exact" or "casefold").
     Returns the graph together with an ingestion summary (also logged).
     Self-citations are dropped but counted; duplicate rows collapse to one
     edge.
     """
-    records, summary = parse_citations(path, name_policy)
-    if not records:
+    rows, lines, comments = read_tsv(path)
+    summary = IngestionSummary(lines=lines, comments=comments, records=len(rows))
+    if not rows:
         raise EmptyGraphError(f"{path} contains no citation records")
     seen = set()
     triples = []
-    for r in records:
-        if r.citing == r.cited:
+    for citing, cited, year in rows:
+        citing = _normalize(citing, name_policy)
+        cited = _normalize(cited, name_policy)
+        if citing == cited:
             summary.self_citations += 1
             continue
-        trip = (r.citing, r.cited, r.year)
+        trip = (citing, cited, year)
         if trip in seen:
             summary.duplicates += 1
         else:
@@ -156,11 +118,11 @@ def load_citations(path, name_policy: str = "exact") -> tuple[EvolvingGraph, Ing
     return g, summary
 
 
-def _require_active(g: EvolvingGraph, author, year):
-    if not g.is_active(author, year):
-        raise InactiveRootError(
-            f"author {author!r} has no citation activity in year {year}"
-        )
+def _influenced(influence: EvolvingGraph, author, year: int) -> dict:
+    """(author, year) -> distance on a graph whose edges run cited-to-citing,
+    without the root author's own temporal nodes."""
+    rm = bfs(influence, TemporalNode(author, year))
+    return {(tn.node, tn.time): d for tn, d in rm.entries.items() if tn.node != author}
 
 
 def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -169,12 +131,9 @@ def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Runs the traversal on the edge-transposed graph (influence flows from
     cited to citing) and drops the root author's own temporal nodes.
     """
-    _require_active(g, author, year)
-    rm = bfs(g.transposed(), TemporalNode(author, year))
-    entries = {
-        (tn.node, tn.time): d for tn, d in rm.entries.items() if tn.node != author
-    }
-    return InfluenceReport(author, year, FORWARD, entries)
+    g.require_active((author, year))
+    return InfluenceReport(author, year, FORWARD,
+                           _influenced(g.transposed(), author, year))
 
 
 def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -183,11 +142,10 @@ def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Computed as an influence query on the time-reversed graph; reported years
     are mapped back to the original labels.
     """
-    _require_active(g, author, year)
-    rev = reverse_time(g)
-    rep = influence_set(rev, author, -year)
-    entries = {(a, -y): d for (a, y), d in rep.entries.items()}
-    return InfluenceReport(author, year, BACKWARD, entries)
+    g.require_active((author, year))
+    back = _influenced(g.time_reversed().transposed(), author, -year)
+    return InfluenceReport(author, year, BACKWARD,
+                           {(a, -y): d for (a, y), d in back.items()})
 
 
 def community(g: EvolvingGraph, author, year: int) -> frozenset:
@@ -196,16 +154,15 @@ def community(g: EvolvingGraph, author, year: int) -> frozenset:
     Walk backward to everyone who influenced ``author``, take the leaves of
     that traversal tree (the points where the walk stopped discovering
     anything new), and pool the forward influence of each leaf.  An author
-    with no influencers is their own leaf, so the result degenerates to their
-    own influence set.
+    with no influencers is their own leaf, so the result is their own
+    influence set.
     """
-    _require_active(g, author, year)
-    rev_influence = reverse_time(g).transposed()
-    rm = bfs(rev_influence, TemporalNode(author, -year))
+    g.require_active((author, year))
+    rm = bfs(g.time_reversed().transposed(), TemporalNode(author, -year))
+    influence = g.transposed()
     members: set = set()
     for leaf in rm.leaves:
-        rep = influence_set(g, leaf.node, -leaf.time)
-        members |= rep.author_set()
+        members.update(a for a, _ in _influenced(influence, leaf.node, -leaf.time))
     return frozenset(members)
 
 

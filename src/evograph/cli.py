@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import algebra, citenet, flatten, generator, traversal
-from .core import EvolvingGraph, TemporalNode, build_graph
+from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
 from .errors import EvographError, ParseError
-
-THREADS_ENV = "EVOGRAPH_VERIFY_THREADS"
 
 
 # -- input helpers -------------------------------------------------------
@@ -33,25 +29,7 @@ def load_edge_list(path, directed=True) -> EvolvingGraph:
     Node fields become ints when every one of them parses as an int,
     otherwise they stay strings.  Time must always be an integer.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}", line_no
-                )
-            src, dst = parts[0].strip(), parts[1].strip()
-            if not src or not dst:
-                raise ParseError("empty node field", line_no)
-            try:
-                t = int(parts[2].strip())
-            except ValueError:
-                raise ParseError(f"time is not an integer: {parts[2]!r}", line_no) from None
-            rows.append((src, dst, t))
+    rows, _, _ = read_tsv(path)
     if all(_intable(u) and _intable(v) for u, v, _ in rows):
         rows = [(int(u), int(v), t) for u, v, t in rows]
     return build_graph(rows, directed=directed)
@@ -113,29 +91,16 @@ def verify_random(count: int, seed: int, max_nodes: int = 30, max_times: int = 5
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    specs = []
     for i in range(count):
         n = int(rng.integers(2, max_nodes + 1))
         nt = int(rng.integers(1, max_times + 1))
         directed = bool(rng.integers(0, 2))
         cap = generator.GenSpec(n, nt, 1, 0, directed).capacity()
         m = int(rng.integers(1, min(cap, 3 * n) + 1))
-        specs.append(generator.GenSpec(n, nt, m, seed=seed + i + 1, directed=directed))
-
-    def check(spec):
-        g = generator.random_graph(spec)
-        roots, bad = verify_graph(g)
-        kind = "directed" if spec.directed else "undirected"
-        desc = f"{kind} n={spec.n_nodes} t={spec.n_times} m={spec.n_static_edges} seed={spec.seed}"
-        return desc, roots, bad
-
-    workers = int(os.environ.get(THREADS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(check, specs)
-    else:
-        for spec in specs:
-            yield check(spec)
+        spec = generator.GenSpec(n, nt, m, seed=seed + i + 1, directed=directed)
+        roots, bad = verify_graph(generator.random_graph(spec))
+        kind = "directed" if directed else "undirected"
+        yield f"{kind} n={n} t={nt} m={m} seed={spec.seed}", roots, bad
 
 
 # -- benchmark -------------------------------------------------------------
@@ -166,7 +131,7 @@ def run_bench(n_nodes, n_times, sizes, seed=0, reps=5):
             raise EvographError("bench sizes must be nondecreasing")
         if target > g.num_static_edges:
             g = generator.grow(g, target - g.num_static_edges, seed=seed + 1000 + i)
-        root = _earliest_active_root(g)
+        root = g.active_nodes()[0]
         traversal.bfs(g, root)  # warm-up, discarded
         samples = []
         rm = None
@@ -176,14 +141,6 @@ def run_bench(n_nodes, n_times, sizes, seed=0, reps=5):
             samples.append(time.perf_counter() - t0)
         rows.append((g.num_static_edges, statistics.median(samples), rm.iterations))
     return rows
-
-
-def _earliest_active_root(g: EvolvingGraph) -> TemporalNode:
-    for t in range(g.num_times):
-        ids = g._active[t]
-        if ids:
-            return TemporalNode(g.node_key(min(ids)), g.time_label(t))
-    raise EvographError("graph has no active temporal node")
 
 
 # -- built-in demo graph ----------------------------------------------------
@@ -204,9 +161,7 @@ def _cmd_bfs(args):
     g = load_edge_list(args.file, directed=not args.undirected)
     root = parse_temporal(args.root, g)
     rm = traversal.bfs(g, root)
-    if rm.degenerate:
-        print(f"# root {args.root} is inactive: it reaches nothing", file=sys.stderr)
-    for tn, d in sorted(rm.entries.items(), key=lambda kv: (kv[1], kv[0])):
+    for tn, d in rm.entries.items():
         print(f"{tn.node}@{tn.time}\t{d}")
     return 0
 

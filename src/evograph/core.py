@@ -18,24 +18,11 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
-from .errors import EmptyGraphError
+from .errors import EmptyGraphError, InactiveRootError, ParseError
 
 # Node identifiers are opaque: anything hashable with a total order among
 # themselves (ints for generated graphs, strings for citation data).
 NodeKey = Hashable
-
-
-@dataclass(frozen=True, order=True)
-class TimeIndex:
-    """Position of a time stamp on the graph's time axis.
-
-    ``index`` is the dense 0-based position, ``label`` the original integer
-    stamp.  Labels strictly increase with index, so ordering by either field
-    agrees.
-    """
-
-    index: int
-    label: int
 
 
 @total_ordering
@@ -122,10 +109,6 @@ class EvolvingGraph:
     def nodes(self) -> tuple:
         """All node keys, sorted."""
         return self._keys
-
-    @property
-    def times(self) -> tuple[TimeIndex, ...]:
-        return tuple(TimeIndex(i, lab) for i, lab in enumerate(self._labels))
 
     @property
     def time_labels(self) -> tuple[int, ...]:
@@ -218,6 +201,19 @@ class EvolvingGraph:
         if t is None or v is None:
             return False
         return v in self._active[t]
+
+    def require_active(self, tn: TemporalNodeLike) -> tuple[int, int]:
+        """(time index, node id) of an active temporal node.
+
+        Every traversal starts from an active temporal node; an inactive or
+        unknown one raises InactiveRootError.
+        """
+        node, lab = _as_pair(tn)
+        t = self._tidx_of.get(lab)
+        v = self._id_of.get(node)
+        if t is None or v is None or v not in self._active[t]:
+            raise InactiveRootError(f"({node!r}, {lab}) is not an active temporal node")
+        return t, v
 
     def active_nodes(self) -> list[TemporalNode]:
         """All active temporal nodes in (time, node) order."""
@@ -408,3 +404,43 @@ def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
         active_times=active_times,
         n_edges=len(kept),
     )
+
+
+def read_tsv(path) -> tuple[list[tuple[str, str, int]], int, int]:
+    """Read ``name<TAB>name<TAB>time`` rows from a UTF-8 text file.
+
+    Blank lines and lines starting with ``#`` are skipped.  Names are
+    whitespace-stripped strings; times must be integers.  Returns the rows,
+    the number of lines read and the number of comment lines.  A malformed
+    row (wrong field count, empty name, non-integer time) raises ParseError
+    with its line number.
+    """
+    rows = []
+    comments = 0
+    line_no = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            head = line.lstrip()
+            if not head:
+                continue
+            if head[0] == "#":
+                comments += 1
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(
+                    f"expected 3 tab-separated fields, got {len(parts)}", line_no
+                )
+            src, dst, time_s = parts
+            src = src.strip()
+            dst = dst.strip()
+            if not src or not dst:
+                raise ParseError("empty name", line_no)
+            try:
+                t = int(time_s)  # int() ignores surrounding whitespace
+            except ValueError:
+                raise ParseError(
+                    f"time is not an integer: {time_s!r}", line_no) from None
+            rows.append((src, dst, t))
+    return rows, line_no, comments

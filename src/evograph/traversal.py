@@ -14,27 +14,26 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
+from .errors import InactiveRootError
 
 
 class ReachedMap:
     """Result of a traversal: hop distance for every reached temporal node.
 
-    ``degenerate`` marks the placeholder map {root: 0} returned for an
-    inactive (or unknown) root, which can reach nothing.  ``iterations`` is
-    the number of frontier expansions performed; ``leaves`` are the reached
-    nodes that discovered no new node when their turn came (the leaves of the
-    traversal tree).  Neither field takes part in equality.
+    ``iterations`` is the number of frontier expansions performed; ``leaves``
+    are the reached nodes that discovered no new node when their turn came
+    (the leaves of the traversal tree).  Only :func:`bfs` records leaves;
+    maps built from ``entries`` have none.  Neither field takes part in
+    equality.
     """
 
-    __slots__ = ("root", "degenerate", "iterations", "_entries", "_leaves", "_ids")
+    __slots__ = ("root", "iterations", "_entries", "_leaves", "_ids")
 
-    def __init__(self, root, entries=None, degenerate=False, iterations=0,
-                 leaves=frozenset()):
+    def __init__(self, root, entries=None, iterations=0):
         self.root = root
-        self.degenerate = degenerate
         self.iterations = iterations
         self._entries = entries
-        self._leaves = frozenset(leaves)
+        self._leaves = frozenset()
         self._ids = None
 
     @classmethod
@@ -73,8 +72,7 @@ class ReachedMap:
     def __eq__(self, other):
         if not isinstance(other, ReachedMap):
             return NotImplemented
-        return (self.root == other.root and self.degenerate == other.degenerate
-                and self.entries == other.entries)
+        return self.root == other.root and self.entries == other.entries
 
     __hash__ = None
 
@@ -112,18 +110,12 @@ class ReachedMap:
 def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
     """Hop distances from ``root`` along temporal paths.
 
-    An inactive root yields the degenerate map {root: 0} with the
-    ``degenerate`` flag set; callers that need strict semantics should treat
-    it as reaching nothing.  Frontier nodes are expanded in (time, node)
-    order, so the result and the entry iteration order are deterministic.
+    Raises InactiveRootError for an inactive or unknown root.  Frontier
+    nodes are expanded in (time, node) order, so the result and the entry
+    iteration order are deterministic.
     """
-    node, lab = _as_pair(root)
-    root_tn = TemporalNode(node, lab)
-    rid = g._id_of.get(node)
-    ti = g._tidx_of.get(lab)
-    if rid is None or ti is None or rid not in g._active[ti]:
-        return ReachedMap(root_tn, {root_tn: 0}, degenerate=True,
-                          leaves=frozenset([root_tn]))
+    root_tn = TemporalNode(*_as_pair(root))
+    ti, rid = g.require_active(root_tn)
 
     n = g.num_nodes
     out = g._out
@@ -175,8 +167,9 @@ def distance(g: EvolvingGraph, src: TemporalNodeLike, dst: TemporalNodeLike) -> 
 
     An inactive src reaches nothing, not even itself.
     """
-    rm = bfs(g, src)
-    if rm.degenerate:
+    try:
+        rm = bfs(g, src)
+    except InactiveRootError:
         return None
     node, lab = _as_pair(dst)
     return rm.entries.get(TemporalNode(node, lab))
@@ -185,12 +178,3 @@ def distance(g: EvolvingGraph, src: TemporalNodeLike, dst: TemporalNodeLike) -> 
 def is_reachable(g: EvolvingGraph, src: TemporalNodeLike, dst: TemporalNodeLike) -> bool:
     return distance(g, src, dst) is not None
 
-
-def reverse_time(g: EvolvingGraph) -> EvolvingGraph:
-    """Graph with the time axis reversed and edge directions flipped.
-
-    Time labels are negated to keep them ascending.  A BFS on the result from
-    (v, -t) finds exactly the temporal nodes that can reach (v, t) in ``g``
-    (with their labels negated).  The transform is an involution.
-    """
-    return g.time_reversed()

@@ -22,7 +22,6 @@ from evograph.algebra import (
     BlockMatrix,
     BlockVector,
     algebraic_bfs,
-    block_matvec,
     causal_propagate,
     count_temporal_paths,
     dense_reference_matvec,
@@ -30,7 +29,7 @@ from evograph.algebra import (
     naive_sum_report,
     nilpotency_index,
     odot,
-    slice_matrix,
+    slice_matrices,
     write_matrix_market,
 )
 from evograph.generator import random_graph
@@ -51,17 +50,19 @@ DEMO_DENSE = np.array([
 
 
 def test_slice_matrix_golden(demo):
-    sm = slice_matrix(demo, 1)
-    assert isinstance(sm.matrix, sp.csc_matrix)
-    assert sm.matrix.toarray().tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    assert slice_matrix(demo, 3).matrix.toarray().tolist() == [
+    first, _, last = slice_matrices(demo)
+    assert (first.time_index, first.time_label) == (0, 1)
+    assert isinstance(first.matrix, sp.csc_matrix)
+    assert first.matrix.toarray().tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert last.matrix.toarray().tolist() == [
         [0, 0, 0], [0, 0, 1], [0, 0, 0]
     ]
 
 
 def test_slice_matrix_undirected_is_symmetric():
     g = build_graph([(1, 2, 1)], directed=False)
-    m = slice_matrix(g, 1).matrix.toarray()
+    (sm,) = slice_matrices(g)
+    m = sm.matrix.toarray()
     assert (m == m.T).all() and m.sum() == 2
 
 
@@ -93,9 +94,10 @@ def test_odot_golden(demo):
 def test_block_matvec_iterate_sequence(demo):
     bv = BlockVector.unit(demo, (1, 1))
     assert bv.nonzeros() == {TN(1, 1): 1}
+    op = BlockMatrix(demo)
     seq = []
     for _ in range(4):
-        bv = block_matvec(demo, bv)
+        bv = op.matvec(bv)
         seq.append(bv.nonzeros())
     assert seq == [
         {TN(2, 1): 1, TN(1, 2): 1},
@@ -109,18 +111,18 @@ def test_block_matvec_iterate_sequence(demo):
 def test_block_matvec_annihilates_inactive_support(demo):
     bv = BlockVector.zeros(demo)
     bv.blocks[0][demo.node_id(3)] = 5  # node 3 is idle at the first stamp
-    assert block_matvec(demo, bv).is_zero()
+    assert BlockMatrix(demo).matvec(bv).is_zero()
 
 
 def test_block_matvec_shape_check(demo):
     other = build_graph([(1, 2, 1), (3, 4, 2)])
     with pytest.raises(ShapeError):
-        block_matvec(demo, BlockVector.zeros(other))
+        BlockMatrix(demo).matvec(BlockVector.zeros(other))
 
 
 def test_block_vector_basics(demo):
     bv = BlockVector.unit(demo, TN(2, 3))
-    assert bv.entry((2, 3)) == 1 and bv.entry((2, 1)) == 0
+    assert bv.nonzeros() == {TN(2, 3): 1}
     assert not bv.is_zero() and bv.max_entry() == 1
     other = bv.copy()
     other.blocks[0][0] = 9
@@ -135,7 +137,7 @@ def test_matvec_matches_dense_reference():
         bv = BlockVector.zeros(g)
         for blk in bv.blocks:
             blk[:] = rng.integers(0, 4, size=len(blk))
-        assert block_matvec(g, bv) == dense_reference_matvec(g, bv)
+        assert BlockMatrix(g).matvec(bv) == dense_reference_matvec(g, bv)
 
 
 def test_dense_golden(demo):
@@ -214,6 +216,21 @@ def test_count_paths_golden(demo):
         count_temporal_paths(demo, (1, 1), (3, 3), -1)
 
 
+def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
+    # the demo vector is zero after 4 products; a huge hop count must not
+    # keep multiplying
+    calls = []
+    orig = BlockMatrix._matvec_blocks
+
+    def counting(self, blocks):
+        calls.append(1)
+        return orig(self, blocks)
+
+    monkeypatch.setattr(BlockMatrix, "_matvec_blocks", counting)
+    assert count_temporal_paths(demo, (1, 1), (3, 3), 200_000) == 0
+    assert len(calls) == 4
+
+
 def test_count_paths_matches_walk_enumeration():
     for i in range(25):
         spec = random_spec(1200 + i, max_nodes=8, max_times=3, density=2.0)
@@ -267,7 +284,7 @@ def test_naive_path_sum_closed_form():
     # the subset enumeration equals A_first (I + A_mid)... A_last
     for i in range(15):
         g = random_graph(random_spec(1300 + i, max_nodes=8, max_times=5))
-        mats = [slice_matrix(g, lab).matrix.toarray() for lab in g.time_labels]
+        mats = [sm.matrix.toarray() for sm in slice_matrices(g)]
         if len(mats) < 2:
             continue
         ident = np.eye(g.num_nodes, dtype=np.int64)

@@ -7,7 +7,14 @@ import pytest
 
 import oracles
 from conftest import TOY_CITATIONS
-from evograph import EmptyGraphError, InactiveRootError, ParseError, build_graph
+from evograph import (
+    EmptyGraphError,
+    EvolvingGraph,
+    InactiveRootError,
+    ParseError,
+    bfs,
+    build_graph,
+)
 from evograph.citenet import (
     BACKWARD,
     FORWARD,
@@ -16,8 +23,8 @@ from evograph.citenet import (
     influence_set,
     influencers_set,
     load_citations,
-    parse_citations,
 )
+from evograph.core import read_tsv
 
 
 def toy_graph():
@@ -34,8 +41,8 @@ def write(tmp_path, text, name="net.tsv"):
 
 
 def test_parse_toy_file(toy_citation_file):
-    records, summary = parse_citations(toy_citation_file)
-    assert [(r.citing, r.cited, r.year) for r in records] == TOY_CITATIONS
+    assert read_tsv(toy_citation_file) == (TOY_CITATIONS, 8, 1)
+    _, summary = load_citations(toy_citation_file)
     assert summary.lines == 8
     assert summary.comments == 1
     assert summary.records == 7
@@ -43,37 +50,36 @@ def test_parse_toy_file(toy_citation_file):
 
 def test_parse_skips_blank_lines(tmp_path):
     p = write(tmp_path, "\nA\tB\t1\n\n  \n# note\nB\tC\t2\n")
-    records, summary = parse_citations(p)
-    assert len(records) == 2
+    _, summary = load_citations(p)
     assert summary.lines == 6 and summary.comments == 1 and summary.records == 2
 
 
 def test_parse_wrong_field_count(tmp_path):
     p = write(tmp_path, "A\tB\t1\nA\tB\n")
     with pytest.raises(ParseError, match="line 2.*3 tab-separated"):
-        parse_citations(p)
+        load_citations(p)
 
 
 def test_parse_bad_year(tmp_path):
     p = write(tmp_path, "# header\nA\tB\tnineteen\n")
-    with pytest.raises(ParseError, match="line 2.*year"):
-        parse_citations(p)
+    with pytest.raises(ParseError, match="line 2.*time is not an integer"):
+        load_citations(p)
 
 
 def test_parse_empty_name(tmp_path):
     p = write(tmp_path, "A\tB\t1\n \tB\t2\n")
-    with pytest.raises(ParseError, match="line 2.*empty author"):
-        parse_citations(p)
+    with pytest.raises(ParseError, match="line 2.*empty name"):
+        load_citations(p)
 
 
 def test_casefold_policy(tmp_path):
     p = write(tmp_path, "Alice\tBOB\t1\nALICE\tCarol\t2\n")
-    records, _ = parse_citations(p, name_policy="casefold")
-    assert [(r.citing, r.cited) for r in records] == [
+    g, _ = load_citations(p, name_policy="casefold")
+    assert [(e.src, e.dst) for e in g.edges()] == [
         ("alice", "bob"), ("alice", "carol"),
     ]
     with pytest.raises(ValueError):
-        parse_citations(p, name_policy="shouty")
+        load_citations(p, name_policy="shouty")
 
 
 # ---------------------------------------------------------------- loading
@@ -180,6 +186,28 @@ def test_community_golden():
     # the root author can be part of their own community
     assert community(g, "E", 3) == {"B", "C", "D", "E", "F"}
     assert community(g, "A", 1) == {"B", "C", "D", "E", "F"}
+
+
+def test_community_transposes_once_per_query(monkeypatch):
+    # X cites k authors in year 1, so the backward walk from (X, 1) ends in k
+    # leaves; the forward graph is still transposed only once
+    calls = []
+    orig = EvolvingGraph.transposed
+
+    def counting(self):
+        calls.append(1)
+        return orig(self)
+
+    monkeypatch.setattr(EvolvingGraph, "transposed", counting)
+    per_query = []
+    for k in (2, 6):
+        g = build_graph([("X", f"a{i}", 1) for i in range(k)] + [("Y", "X", 2)])
+        leaves = bfs(g.time_reversed().transposed(), ("X", -1)).leaves
+        assert len(leaves) == k
+        calls.clear()
+        assert community(g, "X", 1) == {"X", "Y"}
+        per_query.append(len(calls))
+    assert per_query == [2, 2]
 
 
 def test_community_report():

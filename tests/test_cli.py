@@ -43,8 +43,10 @@ def test_bfs_mid_root(demo_file, capsys):
 
 
 def test_bfs_inactive_root(demo_file, capsys):
-    assert main(["bfs", demo_file, "--root", "3@1"]) == 0
-    assert capsys.readouterr().out == "3@1\t0\n"  # degenerate, root only
+    assert main(["bfs", demo_file, "--root", "3@1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not an active" in captured.err
 
 
 def test_bfs_string_nodes(tmp_path, capsys):
@@ -87,14 +89,6 @@ def test_verify_random(capsys):
     assert main(["verify", "--random", "2", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(l.startswith("PASS") for l in lines)
-
-
-def test_verify_random_threaded_matches(capsys, monkeypatch):
-    assert main(["verify", "--random", "3", "--seed", "7"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("EVOGRAPH_VERIFY_THREADS", "2")
-    assert main(["verify", "--random", "3", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def test_demo_naive_sum(capsys):
@@ -183,7 +177,7 @@ def test_usage_errors_exit_2(demo_file):
     assert e.value.code == 2
 
 
-def test_data_errors_exit_1(tmp_path, capsys, demo_file):
+def test_data_errors_exit_1(tmp_path, capsys, demo_file, toy_file):
     assert main(["bfs", str(tmp_path / "missing.tsv"), "--root", "1@1"]) == 1
     assert "error:" in capsys.readouterr().err
     bad = tmp_path / "bad.tsv"
@@ -192,6 +186,9 @@ def test_data_errors_exit_1(tmp_path, capsys, demo_file):
     assert "line 1" in capsys.readouterr().err
     assert main(["distance", demo_file, "--from", "1", "--to", "3@3"]) == 1
     assert "@" in capsys.readouterr().err
+    assert main(["community", toy_file, "--author", "E", "--year", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_geometric_sizes():

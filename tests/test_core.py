@@ -8,8 +8,8 @@ import oracles
 from evograph import (
     EdgeRecord,
     EmptyGraphError,
+    InactiveRootError,
     TemporalNode,
-    TimeIndex,
     build_graph,
 )
 from evograph.generator import GenSpec, random_graph
@@ -19,7 +19,6 @@ from tests_util import random_spec, triples_of
 def test_build_assigns_dense_sorted_ids(demo):
     assert demo.nodes == (1, 2, 3)
     assert demo.time_labels == (1, 2, 3)
-    assert demo.times == (TimeIndex(0, 1), TimeIndex(1, 2), TimeIndex(2, 3))
     assert demo.num_static_edges == 3
     assert demo.directed
 
@@ -83,6 +82,14 @@ def test_is_active_golden(demo):
 def test_is_active_unknown_is_false(demo):
     assert not demo.is_active(99, 1)
     assert not demo.is_active(1, 99)
+
+
+def test_require_active(demo):
+    assert demo.require_active((3, 2)) == (1, 2)  # (time index, node id)
+    assert demo.require_active(TemporalNode(1, 1)) == (0, 0)
+    for tn in [(3, 1), (99, 1), (1, 99)]:
+        with pytest.raises(InactiveRootError):
+            demo.require_active(tn)
 
 
 def test_active_nodes_order(demo):

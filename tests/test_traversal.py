@@ -3,7 +3,14 @@ from __future__ import annotations
 import pytest
 
 import oracles
-from evograph import TemporalNode, bfs, build_graph, distance, is_reachable, reverse_time
+from evograph import (
+    InactiveRootError,
+    TemporalNode,
+    bfs,
+    build_graph,
+    distance,
+    is_reachable,
+)
 from evograph.generator import random_graph
 from tests_util import random_spec, triples_of
 
@@ -23,7 +30,6 @@ def test_bfs_golden_mid_root(demo):
         TemporalNode(3, 2): 1,
         TemporalNode(3, 3): 2,
     }
-    assert not rm.degenerate
     assert rm.root == TemporalNode(1, 2)
 
 
@@ -33,12 +39,11 @@ def test_bfs_golden_first_root(demo):
     assert rm.iterations == 4  # three levels found, one empty sweep
 
 
-def test_bfs_inactive_root_is_degenerate(demo):
-    rm = bfs(demo, (3, 1))
-    assert rm.degenerate
-    assert rm.entries == {TemporalNode(3, 1): 0}
-    rm = bfs(demo, (99, 1))  # unknown node, same treatment
-    assert rm.degenerate
+def test_bfs_inactive_root_raises(demo):
+    # inactive, unknown node, unknown time: all the same rule
+    for root in [(3, 1), (99, 1), (1, 99)]:
+        with pytest.raises(InactiveRootError):
+            bfs(demo, root)
 
 
 def test_bfs_entry_iteration_is_sorted(demo):
@@ -133,7 +138,7 @@ def test_leaves_are_reached_and_final_frontier_is_leaf():
 
 
 def test_reverse_time_golden(demo):
-    r = reverse_time(demo)
+    r = demo.time_reversed()
     assert r.time_labels == (-3, -2, -1)
     rm = bfs(r, (3, -3))
     got = {(tn.node, -tn.time) for tn in rm.entries}
@@ -141,15 +146,15 @@ def test_reverse_time_golden(demo):
 
 
 def test_reverse_time_is_involution(demo):
-    assert reverse_time(reverse_time(demo)) == demo
+    assert demo.time_reversed().time_reversed() == demo
     g = random_graph(random_spec(3))
-    assert reverse_time(reverse_time(g)) == g
+    assert g.time_reversed().time_reversed() == g
 
 
 def test_reverse_time_flips_reachability():
     for i in range(25):
         g = random_graph(random_spec(700 + i, max_nodes=8, max_times=3))
-        r = reverse_time(g)
+        r = g.time_reversed()
         actives = g.active_nodes()
         for dst in actives:
             back = {(tn.node, -tn.time) for tn in bfs(r, (dst.node, -dst.time)).entries}
