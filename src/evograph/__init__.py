@@ -20,6 +20,7 @@ from .errors import (
     EvographError,
     InactiveRootError,
     InfeasibleError,
+    KeyTypeError,
     ParseError,
     PathCountOverflowError,
     ShapeError,
@@ -43,6 +44,7 @@ __all__ = [
     "EmptyGraphError",
     "InactiveRootError",
     "InfeasibleError",
+    "KeyTypeError",
     "ParseError",
     "PathCountOverflowError",
     "ShapeError",

@@ -76,7 +76,7 @@ class BlockVector:
     @classmethod
     def zeros(cls, g: EvolvingGraph) -> "BlockVector":
         blocks = [np.zeros(g.num_nodes, dtype=np.int64) for _ in range(g.num_times)]
-        return cls(g._keys, g._labels, blocks)
+        return cls(g.nodes, g.time_labels, blocks)
 
     @classmethod
     def unit(cls, g: EvolvingGraph, tn: TemporalNodeLike) -> "BlockVector":
@@ -302,8 +302,8 @@ def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
                 reached[(t, int(v))] = k
                 visited[t][v] = True
 
-    keys = graph._keys
-    labels = graph._labels
+    keys = graph.nodes
+    labels = graph.time_labels
     entries = {
         TemporalNode(keys[v], labels[t]): d
         for (t, v), d in sorted(reached.items(), key=lambda kv: (kv[1], kv[0]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
 from .errors import EmptyGraphError
-from .traversal import bfs
+from .traversal import ReachedMap, bfs
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,7 @@ class InfluenceReport:
     temporal node other than the root author's own; years are in the queried
     graph's labels even for backward queries.  ``orientation`` records how
     edges and time were traversed.  ``community`` is only filled by
-    :func:`community`.
+    :func:`community_report`.
     """
 
     root_author: str
@@ -118,11 +118,19 @@ def load_citations(path, name_policy: str = "exact") -> tuple[EvolvingGraph, Ing
     return g, summary
 
 
-def _influenced(influence: EvolvingGraph, author, year: int) -> dict:
-    """(author, year) -> distance on a graph whose edges run cited-to-citing,
-    without the root author's own temporal nodes."""
-    rm = bfs(influence, TemporalNode(author, year))
-    return {(tn.node, tn.time): d for tn, d in rm.entries.items() if tn.node != author}
+def _others(rm: ReachedMap, author, sign: int = 1) -> dict:
+    """(author, sign * year) -> distance for every temporal node ``rm``
+    reached, without ``author``'s own."""
+    return {(tn.node, sign * tn.time): d
+            for tn, d in rm.entries.items() if tn.node != author}
+
+
+def _backward(g: EvolvingGraph, author, year: int) -> tuple[EvolvingGraph, ReachedMap]:
+    """The influence graph (edges cited-to-citing) and the BFS backward in
+    time from ``(author, year)`` on its time reversal, where years are negated."""
+    g.require_active((author, year))
+    influence = g.transposed()
+    return influence, bfs(influence.time_reversed(), TemporalNode(author, -year))
 
 
 def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -132,8 +140,8 @@ def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     cited to citing) and drops the root author's own temporal nodes.
     """
     g.require_active((author, year))
-    return InfluenceReport(author, year, FORWARD,
-                           _influenced(g.transposed(), author, year))
+    rm = bfs(g.transposed(), TemporalNode(author, year))
+    return InfluenceReport(author, year, FORWARD, _others(rm, author))
 
 
 def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -142,10 +150,8 @@ def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Computed as an influence query on the time-reversed graph; reported years
     are mapped back to the original labels.
     """
-    g.require_active((author, year))
-    back = _influenced(g.time_reversed().transposed(), author, -year)
-    return InfluenceReport(author, year, BACKWARD,
-                           {(a, -y): d for (a, y), d in back.items()})
+    _, back = _backward(g, author, year)
+    return InfluenceReport(author, year, BACKWARD, _others(back, author, -1))
 
 
 def community(g: EvolvingGraph, author, year: int) -> frozenset:
@@ -157,17 +163,16 @@ def community(g: EvolvingGraph, author, year: int) -> frozenset:
     with no influencers is their own leaf, so the result is their own
     influence set.
     """
-    g.require_active((author, year))
-    rm = bfs(g.time_reversed().transposed(), TemporalNode(author, -year))
-    influence = g.transposed()
-    members: set = set()
-    for leaf in rm.leaves:
-        members.update(a for a, _ in _influenced(influence, leaf.node, -leaf.time))
-    return frozenset(members)
+    return community_report(g, author, year).community
 
 
 def community_report(g: EvolvingGraph, author, year: int) -> InfluenceReport:
-    """Backward report for ``author`` with the community attached."""
-    rep = influencers_set(g, author, year)
-    rep.community = community(g, author, year)
-    return rep
+    """Backward report for ``author`` with the community attached; both come
+    from one backward walk."""
+    influence, back = _backward(g, author, year)
+    members: set = set()
+    for leaf in back.leaves:
+        rm = bfs(influence, TemporalNode(leaf.node, -leaf.time))
+        members.update(tn.node for tn in rm.entries if tn.node != leaf.node)
+    return InfluenceReport(author, year, BACKWARD, _others(back, author, -1),
+                           community=frozenset(members))

@@ -288,6 +288,16 @@ def _cmd_community(args):
 # -- argument parsing --------------------------------------------------------
 
 
+def _at_least(lo: int):
+    """argparse ``type=``: an integer no smaller than ``lo``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return count
+
+
 def _add_graph_args(p):
     p.add_argument("file", help="edge list: src<TAB>dst<TAB>time")
     p.add_argument("--undirected", action="store_true",
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--from", dest="src", required=True, metavar="NODE@TIME")
     p.add_argument("--to", dest="dst", required=True, metavar="NODE@TIME")
-    p.add_argument("--hops", type=int, required=True)
+    p.add_argument("--hops", type=_at_least(0), required=True)
     p.set_defaults(func=_cmd_count_paths)
 
     p = sub.add_parser("flatten", help="export the static expansion edge list")
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-check the three traversal implementations")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--undirected", action="store_true")
-    p.add_argument("--random", type=int, default=20, metavar="N",
+    p.add_argument("--random", type=_at_least(1), default=20, metavar="N",
                    help="number of random graphs when no file is given")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end-edges", type=int, default=1_000_000)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_at_least(1), default=5)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bench)
 
@@ -375,10 +385,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvographError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (EvographError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
-from .errors import EmptyGraphError, InactiveRootError, ParseError
+from .errors import EmptyGraphError, InactiveRootError, KeyTypeError, ParseError
 
 # Node identifiers are opaque: anything hashable with a total order among
 # themselves (ints for generated graphs, strings for citation data).
@@ -69,7 +69,7 @@ def _check_label(t) -> int:
     try:
         return operator.index(t)
     except TypeError:
-        raise TypeError(f"time labels must be integers, got {t!r}") from None
+        raise KeyTypeError(f"time labels must be integers, got {t!r}") from None
 
 
 class EvolvingGraph:
@@ -314,7 +314,7 @@ class EvolvingGraph:
             out = [self._out[n - 1 - i] for i in range(n)]
         active = [self._active[n - 1 - i] for i in range(n)]
         active_times = tuple(
-            tuple(sorted(n - 1 - t for t in ats)) for ats in self._active_times
+            tuple(n - 1 - t for t in reversed(ats)) for ats in self._active_times
         )
         return EvolvingGraph(
             directed=self.directed,
@@ -343,7 +343,9 @@ def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
     deduplicated, and for undirected graphs (u, v) and (v, u) are the same
     edge.  The result is identical for any permutation of the input.
 
-    Raises EmptyGraphError when no records are given at all.
+    Raises EmptyGraphError when no records are given at all, and
+    KeyTypeError when a time label is not an integer or two node keys cannot
+    be ordered against each other.
     """
     node_set: set = set()
     label_set: set = set()
@@ -361,14 +363,18 @@ def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
         label_set.add(t)
         if src == dst:
             continue  # self-loops never make a node active
-        if not directed and dst < src:
-            src, dst = dst, src
+        if not directed and (dst, src, t) in kept:
+            continue  # the same undirected edge, seen the other way round
         kept.add((src, dst, t))
 
     if n_records == 0:
         raise EmptyGraphError("edge list is empty")
 
-    keys = tuple(sorted(node_set))
+    try:
+        keys = tuple(sorted(node_set))
+    except TypeError:
+        raise KeyTypeError(
+            "node keys must be mutually ordered, e.g. all ints or all strings") from None
     id_of = {k: i for i, k in enumerate(keys)}
     labels = tuple(sorted(label_set))
     tidx_of = {lab: i for i, lab in enumerate(labels)}
@@ -412,35 +418,49 @@ def read_tsv(path) -> tuple[list[tuple[str, str, int]], int, int]:
     Blank lines and lines starting with ``#`` are skipped.  Names are
     whitespace-stripped strings; times must be integers.  Returns the rows,
     the number of lines read and the number of comment lines.  A malformed
-    row (wrong field count, empty name, non-integer time) raises ParseError
-    with its line number.
+    row (wrong field count, empty name, non-integer time) or a line that is
+    not UTF-8 raises ParseError with its line number.
     """
     rows = []
     comments = 0
     line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            head = line.lstrip()
-            if not head:
-                continue
-            if head[0] == "#":
-                comments += 1
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 tab-separated fields, got {len(parts)}", line_no
-                )
-            src, dst, time_s = parts
-            src = src.strip()
-            dst = dst.strip()
-            if not src or not dst:
-                raise ParseError("empty name", line_no)
-            try:
-                t = int(time_s)  # int() ignores surrounding whitespace
-            except ValueError:
-                raise ParseError(
-                    f"time is not an integer: {time_s!r}", line_no) from None
-            rows.append((src, dst, t))
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                head = line.lstrip()
+                if not head:
+                    continue
+                if head[0] == "#":
+                    comments += 1
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise ParseError(
+                        f"expected 3 tab-separated fields, got {len(parts)}", line_no
+                    )
+                src, dst, time_s = parts
+                src = src.strip()
+                dst = dst.strip()
+                if not src or not dst:
+                    raise ParseError("empty name", line_no)
+                try:
+                    t = int(time_s)  # int() ignores surrounding whitespace
+                except ValueError:
+                    raise ParseError(
+                        f"time is not an integer: {time_s!r}", line_no) from None
+                rows.append((src, dst, t))
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8 text", _first_undecodable_line(path)) from None
     return rows, line_no, comments
+
+
+def _first_undecodable_line(path) -> int | None:
+    # text-mode reads decode ahead in chunks, so find the line again byte-wise
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None

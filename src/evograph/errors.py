@@ -44,3 +44,8 @@ class ParseError(EvographError):
 
 class PathCountOverflowError(EvographError):
     """A path-count iteration would exceed the 64-bit integer range."""
+
+
+class KeyTypeError(EvographError, TypeError):
+    """A time label is not an integer, or node keys cannot be ordered
+    against each other (e.g. ints mixed with strings)."""

@@ -46,7 +46,7 @@ class ReachedMap:
 
     def _materialize(self):
         g, order, dists, leaf_ids = self._ids
-        keys, labels, n = g._keys, g._labels, g.num_nodes
+        keys, labels, n = g.nodes, g.time_labels, g.num_nodes
         self._entries = {
             TemporalNode(keys[tid % n], labels[tid // n]): d
             for tid, d in zip(order, dists)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import TOY_CITATIONS
+from evograph import citenet
 from evograph import (
     EmptyGraphError,
     EvolvingGraph,
@@ -190,7 +191,7 @@ def test_community_golden():
 
 def test_community_transposes_once_per_query(monkeypatch):
     # X cites k authors in year 1, so the backward walk from (X, 1) ends in k
-    # leaves; the forward graph is still transposed only once
+    # leaves; the graph is still transposed only once per query
     calls = []
     orig = EvolvingGraph.transposed
 
@@ -207,7 +208,30 @@ def test_community_transposes_once_per_query(monkeypatch):
         calls.clear()
         assert community(g, "X", 1) == {"X", "Y"}
         per_query.append(len(calls))
-    assert per_query == [2, 2]
+    assert per_query == [1, 1]
+
+
+def test_community_report_walks_back_once(monkeypatch):
+    # one transposition and one time reversal per report, one backward BFS,
+    # and one forward BFS per leaf of the backward walk
+    calls = {"transposed": 0, "time_reversed": 0, "bfs": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    g = toy_graph()
+    leaves = bfs(g.transposed().time_reversed(), ("E", -3)).leaves
+    assert len(leaves) > 1
+    for name in ("transposed", "time_reversed"):
+        monkeypatch.setattr(EvolvingGraph, name,
+                            counting(name, getattr(EvolvingGraph, name)))
+    monkeypatch.setattr(citenet, "bfs", counting("bfs", citenet.bfs))
+    rep = community_report(g, "E", 3)
+    assert rep.community == {"B", "C", "D", "E", "F"}
+    assert calls == {"transposed": 1, "time_reversed": 1, "bfs": 1 + len(leaves)}
 
 
 def test_community_report():

@@ -175,6 +175,15 @@ def test_usage_errors_exit_2(demo_file):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+    for argv in (
+        ["count-paths", demo_file, "--from", "1@1", "--to", "3@3", "--hops", "-1"],
+        ["bench", "--reps", "0"],
+        ["verify", "--random", "-1"],
+        ["verify", "--random", "0"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
 
 
 def test_data_errors_exit_1(tmp_path, capsys, demo_file, toy_file):
@@ -186,6 +195,12 @@ def test_data_errors_exit_1(tmp_path, capsys, demo_file, toy_file):
     assert "line 1" in capsys.readouterr().err
     assert main(["distance", demo_file, "--from", "1", "--to", "3@3"]) == 1
     assert "@" in capsys.readouterr().err
+    assert main(["bfs", str(tmp_path), "--root", "1@1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes("1\t2\t1\nJos\u00e9\t2\t2\n".encode("latin-1"))
+    assert main(["bfs", str(latin1), "--root", "1@1"]) == 1
+    assert "line 2: not UTF-8" in capsys.readouterr().err
     assert main(["community", toy_file, "--author", "E", "--year", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err

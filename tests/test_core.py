@@ -8,7 +8,9 @@ import oracles
 from evograph import (
     EdgeRecord,
     EmptyGraphError,
+    EvographError,
     InactiveRootError,
+    KeyTypeError,
     TemporalNode,
     build_graph,
 )
@@ -70,6 +72,16 @@ def test_empty_edge_list_raises():
 def test_non_integer_time_raises():
     with pytest.raises(TypeError):
         build_graph([(1, 2, "t1")])
+    with pytest.raises(KeyTypeError, match="time labels must be integers"):
+        build_graph([(1, 2, "t1")])
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_mixed_node_keys_raise(directed):
+    for edges in ([(1, "a", 1)], [(1, 2, 1), ("a", "b", 2)]):
+        with pytest.raises(KeyTypeError, match="mutually ordered") as e:
+            build_graph(edges, directed=directed)
+        assert isinstance(e.value, EvographError) and isinstance(e.value, TypeError)
 
 
 def test_is_active_golden(demo):
@@ -195,6 +207,15 @@ def test_transposed_flips_edges_keeps_activity(demo):
     assert t.has_edge(2, 1, 1) and not t.has_edge(1, 2, 1)
     assert t.active_nodes() == demo.active_nodes()
     assert t.transposed() == demo
+
+
+def test_transpose_and_time_reversal_commute():
+    for i in range(25):
+        g = random_graph(random_spec(900 + i, directed=True))
+        a = g.transposed().time_reversed()
+        b = g.time_reversed().transposed()
+        assert a == b, i
+        assert a.active_nodes() == b.active_nodes(), i
 
 
 def test_graph_equality():
