@@ -3,8 +3,8 @@
 Input rows are ``citing<TAB>cited<TAB>year``.  Edges are stored in that
 citing-to-cited direction, but influence travels the other way: the cited
 author reaches everyone who (transitively, never moving back in time) cites
-them.  Influence queries therefore traverse the edge-transposed graph, and
-backward queries additionally reverse the time axis.
+them.  Influence queries therefore traverse the edge-transposed graph, while
+backward queries keep the citation arrows and mirror the time axis.
 """
 
 from __future__ import annotations
@@ -125,12 +125,11 @@ def _others(rm: ReachedMap, author, sign: int = 1) -> dict:
             for tn, d in rm.entries.items() if tn.node != author}
 
 
-def _backward(g: EvolvingGraph, author, year: int) -> tuple[EvolvingGraph, ReachedMap]:
-    """The influence graph (edges cited-to-citing) and the BFS backward in
-    time from ``(author, year)`` on its time reversal, where years are negated."""
+def _backward(g: EvolvingGraph, author, year: int) -> ReachedMap:
+    """The BFS backward in time from ``(author, year)``: along the citation
+    arrows on the time mirror of ``g``, where years are negated."""
     g.require_active((author, year))
-    influence = g.transposed()
-    return influence, bfs(influence.time_reversed(), TemporalNode(author, -year))
+    return bfs(g.time_mirrored(), TemporalNode(author, -year))
 
 
 def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -147,11 +146,11 @@ def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
 def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     """Authors whose work ``author`` builds on, looking backward from ``year``.
 
-    Computed as an influence query on the time-reversed graph; reported years
-    are mapped back to the original labels.
+    Computed as a BFS along the citation arrows on the time-mirrored graph;
+    reported years are mapped back to the original labels.
     """
-    _, back = _backward(g, author, year)
-    return InfluenceReport(author, year, BACKWARD, _others(back, author, -1))
+    return InfluenceReport(author, year, BACKWARD,
+                           _others(_backward(g, author, year), author, -1))
 
 
 def community(g: EvolvingGraph, author, year: int) -> frozenset:
@@ -168,11 +167,14 @@ def community(g: EvolvingGraph, author, year: int) -> frozenset:
 
 def community_report(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     """Backward report for ``author`` with the community attached; both come
-    from one backward walk."""
-    influence, back = _backward(g, author, year)
+    from one backward walk.  Each leaf's forward walk only yields its authors,
+    read from the walk's encoded ids."""
+    back = _backward(g, author, year)
+    report = InfluenceReport(author, year, BACKWARD, _others(back, author, -1))
+    influence = g.transposed()
     members: set = set()
     for leaf in back.leaves:
-        rm = bfs(influence, TemporalNode(leaf.node, -leaf.time))
-        members.update(tn.node for tn in rm.entries if tn.node != leaf.node)
-    return InfluenceReport(author, year, BACKWARD, _others(back, author, -1),
-                           community=frozenset(members))
+        reached = bfs(influence, TemporalNode(leaf.node, -leaf.time)).earliest_times()
+        members.update(a for a in reached if a != leaf.node)
+    report.community = frozenset(members)
+    return report

@@ -299,6 +299,25 @@ class EvolvingGraph:
             n_edges=self._n_edges,
         )
 
+    def time_mirrored(self) -> "EvolvingGraph":
+        """Reverse the time axis (labels are negated), keeping every edge.
+
+        Slice i is this graph's slice T-1-i, shared as-is.  A temporal path
+        here walks this graph's edges backward in time.
+        """
+        last = self.num_times - 1
+        return EvolvingGraph(
+            directed=self.directed,
+            keys=self._keys,
+            labels=tuple(-lab for lab in reversed(self._labels)),
+            out=self._out[::-1],
+            active=self._active[::-1],
+            active_times=tuple(
+                tuple(last - t for t in reversed(ats)) for ats in self._active_times
+            ),
+            n_edges=self._n_edges,
+        )
+
     def time_reversed(self) -> "EvolvingGraph":
         """Reverse the time axis (labels are negated) and flip edges.
 
@@ -306,25 +325,7 @@ class EvolvingGraph:
         temporal path in the original graph.  Applying this twice returns an
         equal graph.
         """
-        n = self.num_times
-        labels = tuple(-lab for lab in reversed(self._labels))
-        if self.directed:
-            out = [_invert_adjacency(self._out[n - 1 - i]) for i in range(n)]
-        else:
-            out = [self._out[n - 1 - i] for i in range(n)]
-        active = [self._active[n - 1 - i] for i in range(n)]
-        active_times = tuple(
-            tuple(n - 1 - t for t in reversed(ats)) for ats in self._active_times
-        )
-        return EvolvingGraph(
-            directed=self.directed,
-            keys=self._keys,
-            labels=labels,
-            out=out,
-            active=active,
-            active_times=active_times,
-            n_edges=self._n_edges,
-        )
+        return self.time_mirrored().transposed()
 
 
 def _invert_adjacency(adj: dict) -> dict:
@@ -397,10 +398,11 @@ def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
         for adj in out_lists
     ]
     active_frozen = [frozenset(ids) for ids in active]
-    active_times = tuple(
-        tuple(t for t in range(n_times) if v in active_frozen[t])
-        for v in range(len(keys))
-    )
+    times_of: list[list] = [[] for _ in keys]
+    for t, ids in enumerate(active_frozen):
+        for v in ids:
+            times_of[v].append(t)  # t ascends, so each list comes out sorted
+    active_times = tuple(tuple(ts) for ts in times_of)
     return EvolvingGraph(
         directed=directed,
         keys=keys,

@@ -1,12 +1,17 @@
 """Breadth-first traversal over temporal paths.
 
 The frontier algorithm below touches each active temporal node once and each
-edge of the (implicit) expanded graph once: same-slice edges come straight
-from the slice adjacency, time jumps are generated lazily from each node's
-sorted active-time list.  Total cost is linear in the temporal-node universe
-plus expanded edges.  The hot loop works on integer-encoded temporal nodes
-(time * num_nodes + node) and defers building the user-facing map until it is
-first read, so timing the traversal times the traversal.
+same-slice edge once.  Time jumps stay implicit: each node keeps a jump
+watermark, the lowest position in its sorted active-time list from which
+every later stamp is already reached, so a jump only scans the stamps below
+it.  Each active stamp is scanned at most once per node, and each expansion
+adds one bisect, so the jump work is linear in active temporal nodes instead
+of quadratic in each node's stamp count.  The ``dist`` array still spans the
+whole nodes x times universe, so a query also costs O(nodes x times) for its
+allocation.  The hot loop works on integer-encoded temporal nodes
+(time * num_nodes + node); the result builds its user-facing entries on first
+read and its leaves on their own first read, so timing the traversal times
+the traversal.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ class ReachedMap:
     equality.
     """
 
-    __slots__ = ("root", "iterations", "_entries", "_leaves", "_ids")
+    __slots__ = ("root", "iterations", "_entries", "_leaves", "_ids", "_leaf_ids")
 
     def __init__(self, root, entries=None, iterations=0):
         self.root = root
@@ -35,38 +40,34 @@ class ReachedMap:
         self._entries = entries
         self._leaves = frozenset()
         self._ids = None
+        self._leaf_ids = None
 
     @classmethod
     def _from_ids(cls, g, root, order, dists, iterations, leaf_ids):
-        """Deferred form: parallel (encoded id, distance) lists plus leaf ids."""
+        """Deferred form: parallel (encoded id, distance) lists plus leaf ids,
+        each decoded on its first read."""
         rm = cls(root, iterations=iterations)
+        rm._ids = (g, order, dists)
         rm._leaves = None
-        rm._ids = (g, order, dists, leaf_ids)
+        rm._leaf_ids = (g, leaf_ids)
         return rm
-
-    def _materialize(self):
-        g, order, dists, leaf_ids = self._ids
-        keys, labels, n = g.nodes, g.time_labels, g.num_nodes
-        self._entries = {
-            TemporalNode(keys[tid % n], labels[tid // n]): d
-            for tid, d in zip(order, dists)
-        }
-        self._leaves = frozenset(
-            TemporalNode(keys[tid % n], labels[tid // n]) for tid in leaf_ids
-        )
-        self._ids = None
 
     @property
     def entries(self) -> dict[TemporalNode, int]:
         """Reached temporal node -> hop distance, in (distance, time, node) order."""
-        if self._entries is None:
-            self._materialize()
+        if self._ids is not None:
+            g, order, dists = self._ids
+            self._entries = dict(zip(_decode(g, order), dists))
+            self._ids = None
         return self._entries
 
     @property
     def leaves(self) -> frozenset:
         if self._leaves is None:
-            self._materialize()
+            self.entries  # a first read of either field decodes the entries
+            g, leaf_ids = self._leaf_ids
+            self._leaves = frozenset(_decode(g, leaf_ids))
+            self._leaf_ids = None
         return self._leaves
 
     def __eq__(self, other):
@@ -99,12 +100,26 @@ class ReachedMap:
         return max(self.entries.values())
 
     def earliest_times(self) -> dict:
-        """node key -> earliest time label at which it was reached."""
+        """node key -> earliest time label at which it was reached.
+
+        Read before ``entries``, it builds no TemporalNode.
+        """
+        if self._ids is None:
+            pairs = ((tn.node, tn.time) for tn in self._entries)
+        else:
+            g, order, _ = self._ids
+            keys, labels, n = g.nodes, g.time_labels, g.num_nodes
+            pairs = ((keys[tid % n], labels[tid // n]) for tid in order)
         out: dict = {}
-        for tn in self.entries:
-            if tn.node not in out or tn.time < out[tn.node]:
-                out[tn.node] = tn.time
+        for node, time in pairs:
+            if node not in out or time < out[node]:
+                out[node] = time
         return out
+
+
+def _decode(g: EvolvingGraph, tids) -> list[TemporalNode]:
+    keys, labels, n = g.nodes, g.time_labels, g.num_nodes
+    return [TemporalNode(keys[tid % n], labels[tid // n]) for tid in tids]
 
 
 def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
@@ -121,6 +136,7 @@ def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
     out = g._out
     atimes = g._active_times
     dist = [-1] * (n * g.num_times)
+    mark = [-1] * n  # jump watermark per node; -1 until its first jump
     root_tid = ti * n + rid
     dist[root_tid] = 0
     order = [root_tid]
@@ -145,13 +161,20 @@ def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
                         dist[tu] = k
                         nxt.append(tu)
                         found_new = True
+            # every stamp of v from position mark[v] on is already reached
             ats = atimes[v]
-            for t2 in ats[bisect_right(ats, t):]:
-                tu = t2 * n + v
-                if dist[tu] < 0:
-                    dist[tu] = k
-                    nxt.append(tu)
-                    found_new = True
+            hi = mark[v]
+            if hi < 0:
+                hi = len(ats)
+            lo = bisect_right(ats, t, 0, hi)
+            if lo < hi:
+                mark[v] = lo
+                for t2 in ats[lo:hi]:
+                    tu = t2 * n + v
+                    if dist[tu] < 0:
+                        dist[tu] = k
+                        nxt.append(tu)
+                        found_new = True
             if not found_new:
                 leaf_ids.append(tid)
         nxt.sort()

@@ -166,6 +166,29 @@ def test_runtime_scales_linearly_in_edges(capsys):
                 f"step {i}: time ratio {time_ratio:.3f} vs edge ratio {edge_ratio:.3f}")
 
 
+def stamp_growth_graph(n_nodes, n_times, seed):
+    """One seeded out-edge per node per stamp: every node active at every stamp."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shift = rng.integers(1, n_nodes, size=(n_times, n_nodes))
+    return build_graph([(v, (v + int(shift[t, v])) % n_nodes, t)
+                        for t in range(n_times) for v in range(n_nodes)])
+
+
+def test_runtime_scales_linearly_in_stamps(capsys):
+    with criterion(capsys, "BFS wall time grows linearly with stamps per node "
+                           "(20 nodes, 250 and 1000 stamps)"):
+        secs = []
+        for n_times in (250, 1000):
+            g = stamp_growth_graph(20, n_times, seed=n_times)
+            root = g.active_nodes()[0]
+            bfs(g, root)  # warm-up
+            gc.collect()
+            secs.append(min(timeit.repeat(lambda: bfs(g, root), number=1, repeat=5)))
+        # linear in active temporal nodes reads 4, quadratic jumps read 16
+        ratio = secs[1] / secs[0]
+        assert ratio <= 8, f"time(1000) / time(250) = {ratio:.2f}"
+
+
 def test_citation_queries_match_oracle(capsys):
     with criterion(capsys, "citation influence / influencers / community "
                            "match the reachability oracle"):

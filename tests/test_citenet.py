@@ -212,9 +212,9 @@ def test_community_transposes_once_per_query(monkeypatch):
 
 
 def test_community_report_walks_back_once(monkeypatch):
-    # one transposition and one time reversal per report, one backward BFS,
-    # and one forward BFS per leaf of the backward walk
-    calls = {"transposed": 0, "time_reversed": 0, "bfs": 0}
+    # one transposition and one time mirror per report and no time reversal,
+    # one backward BFS, and one forward BFS per leaf of the backward walk
+    calls = {"transposed": 0, "time_reversed": 0, "time_mirrored": 0, "bfs": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -225,13 +225,14 @@ def test_community_report_walks_back_once(monkeypatch):
     g = toy_graph()
     leaves = bfs(g.transposed().time_reversed(), ("E", -3)).leaves
     assert len(leaves) > 1
-    for name in ("transposed", "time_reversed"):
+    for name in ("transposed", "time_reversed", "time_mirrored"):
         monkeypatch.setattr(EvolvingGraph, name,
                             counting(name, getattr(EvolvingGraph, name)))
     monkeypatch.setattr(citenet, "bfs", counting("bfs", citenet.bfs))
     rep = community_report(g, "E", 3)
     assert rep.community == {"B", "C", "D", "E", "F"}
-    assert calls == {"transposed": 1, "time_reversed": 1, "bfs": 1 + len(leaves)}
+    assert calls == {"transposed": 1, "time_reversed": 0, "time_mirrored": 1,
+                     "bfs": 1 + len(leaves)}
 
 
 def test_community_report():

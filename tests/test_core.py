@@ -218,6 +218,21 @@ def test_transpose_and_time_reversal_commute():
         assert a.active_nodes() == b.active_nodes(), i
 
 
+def test_time_mirrored_keeps_edges_and_negates_times():
+    for i in range(25):
+        g = random_graph(random_spec(950 + i))
+        m = g.time_mirrored()
+        assert m.time_labels == tuple(sorted(-t for t in g.time_labels)), i
+        assert sorted((e.src, e.dst, -e.time) for e in m.edges()) == sorted(
+            (e.src, e.dst, e.time) for e in g.edges()), i
+        assert m.active_nodes() == sorted(
+            TemporalNode(tn.node, -tn.time) for tn in g.active_nodes()), i
+        for v in g.nodes:
+            assert m.active_time_labels(v) == tuple(
+                -t for t in reversed(g.active_time_labels(v))), (i, v)
+        assert m.time_mirrored() == g, i
+
+
 def test_graph_equality():
     a = build_graph([(1, 2, 1)])
     b = build_graph([(1, 2, 1)])

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import oracles
+from conftest import TOY_CITATIONS
+from evograph import traversal
 from evograph import (
     InactiveRootError,
     TemporalNode,
@@ -11,7 +16,8 @@ from evograph import (
     distance,
     is_reachable,
 )
-from evograph.generator import random_graph
+from evograph.citenet import community_report
+from evograph.generator import GenSpec, random_graph
 from tests_util import random_spec, triples_of
 
 
@@ -96,6 +102,33 @@ def test_bfs_matches_bruteforce_distances():
             assert got == want, (spec, root)
 
 
+def test_bfs_matches_oracle_on_many_stamps():
+    # few nodes over up to 25 stamps: a later level often reaches an earlier
+    # stamp of a node that already jumped, which the jump watermark must skip
+    # past without losing a distance or a leaf
+    late = 0
+    for i in range(20):
+        rng = np.random.Generator(np.random.PCG64(0x57A + i))
+        n = int(rng.integers(2, 6))
+        nt = int(rng.integers(10, 26))
+        spec = GenSpec(n, nt, 1, seed=800 + i, directed=bool(i % 2))
+        cap = min(spec.capacity(), n * nt)
+        spec = replace(spec, n_static_edges=int(rng.integers(cap // 3, cap + 1)))
+        g = random_graph(spec)
+        triples = triples_of(g)
+        adj = oracles.expansion_adjacency(triples, g.directed)
+        for root in g.active_nodes():
+            rm = bfs(g, root)
+            got = {(tn.node, tn.time): d for tn, d in rm.entries.items()}
+            assert got == oracles.distances(triples, g.directed, root.node, root.time), (
+                spec, root)
+            _, leaves = oracles.bfs_with_leaves(adj, (root.node, root.time))
+            assert {(tn.node, tn.time) for tn in rm.leaves} == leaves, (spec, root)
+            late += sum(1 for (a, s), d in got.items() for (b, t), e in got.items()
+                        if a == b and s < t and d > e)
+    assert late > 100
+
+
 def test_every_reached_node_has_a_witness_path():
     for i in range(10):
         g = random_graph(random_spec(400 + i, max_nodes=10, max_times=4))
@@ -178,3 +211,35 @@ def test_undirected_bfs_walks_both_ways():
 
 def test_bfs_accepts_temporal_node_objects(demo):
     assert bfs(demo, TemporalNode(1, 2)).entries == bfs(demo, (1, 2)).entries
+
+
+def test_temporal_nodes_are_built_only_when_read(monkeypatch):
+    built = []
+
+    class Counting(TemporalNode):
+        def __init__(self, node, time):
+            built.append(1)
+            super().__init__(node, time)
+
+    g = random_graph(random_spec(11, max_nodes=8, max_times=12, density=6.0))
+    root = g.active_nodes()[0]
+    monkeypatch.setattr(traversal, "TemporalNode", Counting)
+    rm = bfs(g, root)
+    built.clear()  # the root
+    early = rm.earliest_times()
+    assert built == []
+    n = len(rm.entries)
+    assert len(built) == n
+    assert rm.earliest_times() == early
+    leaves = rm.leaves
+    assert 0 < len(leaves) < n
+    assert len(built) == n + len(leaves)
+
+    # a citation report decodes its backward walk; each forward leaf walk
+    # builds nothing beyond its root
+    cites = build_graph(TOY_CITATIONS)
+    back = bfs(cites.time_mirrored(), ("E", -3))
+    walks = 1 + len(back.leaves)
+    built.clear()
+    community_report(cites, "E", 3)
+    assert len(built) == walks + len(back.entries) + len(back.leaves)
