@@ -8,13 +8,20 @@ frontiers, and the entries count temporal paths.
 
 The operator is never materialized for products: each block matvec runs one
 sparse CSC matvec per slice plus a masked running sum for the time-jump
-blocks, which costs O(static edges + nodes * times).  ``dense`` and the
-Matrix Market export build the explicit matrix for inspection at small scale.
+blocks, which costs O(static edges + nodes * times).  Path counts use that
+exact int64 product.  Reachability only needs the nonzero pattern, so
+``algebraic_bfs_many`` runs a batch of roots as the columns of one 0/1 int32
+matrix: a level is one SpMM with the block diagonal of the transposed slices,
+a masked running OR for the time jumps and a complement mask for the visited
+cells, O(static edges + nodes * times) per root column.  ``algebraic_bfs`` is
+a batch of one.  ``dense`` and the Matrix Market export build the explicit
+matrix for inspection at small scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +38,10 @@ from .errors import (
 from .traversal import ReachedMap
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+# cap on cells x roots in one batch of ``algebraic_bfs_many``: the frontier,
+# the product and the distance matrix of a batch each hold that many entries
+_BATCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -172,6 +183,33 @@ class BlockMatrix:
             carry = carry + blk * self.masks[t]
         return out
 
+    @cached_property
+    def _slices_t(self) -> sp.csr_matrix:
+        """The transposed slices on one block diagonal over the (time, node)
+        cells, int32 to match the 0/1 frontier it multiplies."""
+        return sp.block_diag(self._t_csr, format="csr", dtype=np.int32)
+
+    @cached_property
+    def _mask_cols(self) -> np.ndarray:
+        return np.stack(self.masks).astype(bool)[:, :, None]
+
+    def _spread(self, front: np.ndarray) -> np.ndarray:
+        """Nonzero pattern of the transpose product of many 0/1 columns.
+
+        ``front`` is int32 of shape (times, nodes, columns) with its support
+        on active cells.  The same-slice blocks are one SpMM with
+        ``_slices_t``; the time-jump blocks are the running OR of the earlier
+        stamps, masked by activity at each stamp: the carry of
+        ``_matvec_blocks``.  Returns a bool array of the same shape.
+        """
+        nt, n, w = front.shape
+        out = (self._slices_t @ front.reshape(nt * n, w)).reshape(nt, n, w) > 0
+        carry = np.zeros((n, w), dtype=bool)
+        for t in range(1, nt):
+            np.logical_or(carry, front[t - 1], out=carry)
+            out[t] |= carry & self._mask_cols[t]
+        return out
+
     def matvec(self, bv: BlockVector) -> BlockVector:
         """Transpose product: block t of the result is (slice t)^T b_t plus
         the masked sum of all earlier blocks."""
@@ -266,49 +304,79 @@ def odot(g: EvolvingGraph, t_label: int, b) -> np.ndarray:
 
 
 def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
-    """Traversal by repeated block matvec.
-
-    Start from the indicator of the root; after each product, zero every
-    already-visited entry and record the surviving nonzeros at the current
-    hop count.  Accepts a graph or a prebuilt BlockMatrix.  The intermediate
-    vector is clamped to 0/1 between products: only the nonzero pattern
-    matters here, and the clamp keeps dense cyclic inputs from overflowing.
+    """Traversal by repeated block products from one root: a batch of one
+    for :func:`algebraic_bfs_many`.  Accepts a graph or a prebuilt
+    BlockMatrix.
 
     Raises InactiveRootError for an inactive or unknown root.
     """
+    return algebraic_bfs_many(g, [root])[0]
+
+
+def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
+    """Traversals from many roots at once, one masked product per level.
+
+    The frontiers of a batch of roots are the columns of one 0/1 matrix over
+    the (time, node) cells.  A level multiplies that matrix by the operator
+    (``BlockMatrix._spread``), clears every visited cell with a complement
+    mask and writes the level number into an int32 distance matrix; the
+    batch stops when no column found anything new.  A batch holds at most
+    ``_BATCH_CELLS // cells`` roots, and at least one.  Accepts a graph or a
+    prebuilt BlockMatrix.  Returns one ReachedMap per root, in order, equal
+    to ``bfs`` in entries, entry order and iterations; it has no leaves.
+
+    Raises InactiveRootError for an inactive or unknown root, before any
+    product.
+    """
     op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
     graph = op.graph
-    root_tn = TemporalNode(*_as_pair(root))
-    rt, rid = graph.require_active(root_tn)
+    root_tns = [TemporalNode(*_as_pair(r)) for r in roots]
+    n = graph.num_nodes
+    starts = [t * n + v for t, v in map(graph.require_active, root_tns)]
+    width = max(_BATCH_CELLS // max(n * graph.num_times, 1), 1)
+    out = []
+    for lo in range(0, len(starts), width):
+        out.extend(_bfs_batch(op, root_tns[lo:lo + width], starts[lo:lo + width]))
+    return out
 
-    blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
-    blocks[rt][rid] = 1
-    visited = [np.zeros(graph.num_nodes, dtype=bool) for _ in range(graph.num_times)]
-    visited[rt][rid] = True
-    reached = {(rt, rid): 0}
+
+def _bfs_batch(op: BlockMatrix, root_tns, starts) -> list[ReachedMap]:
+    g = op.graph
+    nt, n, w = g.num_times, g.num_nodes, len(starts)
+    cols = np.arange(w)
+    dist = np.full((nt * n, w), -1, dtype=np.int32)
+    dist[starts, cols] = 0
+    front = np.zeros((nt, n, w), dtype=np.int32)
+    front.reshape(nt * n, w)[starts, cols] = 1
 
     bound = op.num_active + 1
     k = 0
-    while any(blk.any() for blk in blocks):
+    while True:
         k += 1
         if k > bound:
             raise RuntimeError(
                 "block traversal exceeded the active-node iteration bound")
-        blocks = op._matvec_blocks(blocks)
-        for t, blk in enumerate(blocks):
-            np.minimum(blk, 1, out=blk)
-            blk[visited[t]] = 0
-            for v in np.flatnonzero(blk):
-                reached[(t, int(v))] = k
-                visited[t][v] = True
+        new = op._spread(front).reshape(nt * n, w)
+        new &= dist < 0
+        if not new.any():
+            break
+        dist[new] = k
+        front = new.reshape(nt, n, w).astype(np.int32)
 
-    keys = graph.nodes
-    labels = graph.time_labels
-    entries = {
-        TemporalNode(keys[v], labels[t]): d
-        for (t, v), d in sorted(reached.items(), key=lambda kv: (kv[1], kv[0]))
-    }
-    return ReachedMap(root_tn, entries, iterations=k)
+    # reached cells of every root in (root, distance, cell) order; a cell
+    # is time * n + node, so this is the (distance, time, node) entry order
+    root_of, cell = np.nonzero(dist.T >= 0)
+    d = dist[cell, root_of]
+    order = np.lexsort((cell, d, root_of))
+    cell, d = cell[order].tolist(), d[order].tolist()
+    ends = np.cumsum(np.bincount(root_of, minlength=w)).tolist()
+    out = []
+    lo = 0
+    for root_tn, hi in zip(root_tns, ends):
+        out.append(ReachedMap._from_ids(
+            g, root_tn, cell[lo:hi], d[lo:hi], d[hi - 1] + 1, ()))
+        lo = hi
+    return out
 
 
 def count_temporal_paths(

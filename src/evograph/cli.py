@@ -14,6 +14,7 @@ import json
 import statistics
 import sys
 import time
+from itertools import combinations
 
 from . import algebra, citenet, flatten, generator, traversal
 from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
@@ -71,19 +72,37 @@ def _out_stream(path):
 def verify_graph(g: EvolvingGraph):
     """Cross-check the three traversals from every active root.
 
-    Returns (number of roots checked, list of mismatch descriptions).
+    Returns (number of roots checked, list of mismatch descriptions).  Each
+    description names a pair of engines that disagree from one root and the
+    first temporal node, in entry order, where their distances differ.
     """
     x = flatten.expand(g)
-    op = algebra.BlockMatrix(g)
-    bad = []
     roots = g.active_nodes()
-    for root in roots:
+    by_algebra = algebra.algebraic_bfs_many(g, roots)
+    bad = []
+    for root, c in zip(roots, by_algebra):
         a = traversal.bfs(g, root)
         b = flatten.static_bfs(x, root)
-        c = algebra.algebraic_bfs(op, root)
-        if not (a.entries == b.entries == c.entries):
-            bad.append(f"root {root}: traversal/expansion/algebra disagree")
+        if a.entries == b.entries == c.entries:
+            continue
+        runs = (("traversal", a.entries), ("expansion", b.entries),
+                ("algebra", c.entries))
+        for (name1, e1), (name2, e2) in combinations(runs, 2):
+            if e1 != e2:
+                tn = _first_difference(e1, e2)
+                bad.append(f"root {root}: {name1}/{name2} disagree at {tn}: "
+                           f"distance {e1.get(tn, 'unreached')} vs "
+                           f"{e2.get(tn, 'unreached')}")
     return len(roots), bad
+
+
+def _first_difference(e1: dict, e2: dict):
+    """First temporal node in the entry order of ``e1``, then of ``e2``,
+    whose distance differs between the two maps."""
+    for tn, d in e1.items():
+        if e2.get(tn) != d:
+            return tn
+    return next(tn for tn in e2 if tn not in e1)
 
 
 def verify_random(count: int, seed: int, max_nodes: int = 30, max_times: int = 5):
@@ -340,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--random", type=_at_least(1), default=20, metavar="N",
                    help="number of random graphs when no file is given")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo-naive-sum",
@@ -355,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-edges", type=int, default=100_000)
     p.add_argument("--end-edges", type=int, default=1_000_000)
     p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--reps", type=_at_least(1), default=5)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bench)
@@ -364,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--times", type=int, required=True)
     p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--undirected", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_generate)

@@ -22,6 +22,7 @@ from evograph.algebra import (
     BlockMatrix,
     BlockVector,
     algebraic_bfs,
+    algebraic_bfs_many,
     causal_propagate,
     count_temporal_paths,
     dense_reference_matvec,
@@ -32,6 +33,7 @@ from evograph.algebra import (
     slice_matrices,
     write_matrix_market,
 )
+from evograph import algebra
 from evograph.generator import random_graph
 from tests_util import dag_slice_triples, random_spec, triples_of
 
@@ -203,6 +205,56 @@ def test_algebraic_bfs_equals_traversal():
             assert a.entries == b.entries
             assert a.iterations == b.iterations
             assert a.iterations <= g.num_active() + 1
+
+
+def _same_as_bfs(g, maps):
+    roots = g.active_nodes()
+    assert len(maps) == len(roots)
+    for root, rm in zip(roots, maps):
+        want = bfs(g, root)
+        assert rm.root == root
+        assert list(rm.entries.items()) == list(want.entries.items())
+        assert rm.iterations == want.iterations
+        assert rm.leaves == frozenset()
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_algebraic_bfs_many_equals_bfs(directed):
+    for i in range(25):
+        g = random_graph(random_spec(1800 + i, directed=directed))
+        _same_as_bfs(g, algebraic_bfs_many(g, g.active_nodes()))
+    assert algebraic_bfs_many(g, []) == []
+
+
+@pytest.mark.parametrize("roots_per_batch", [1, 3])
+def test_algebraic_bfs_many_across_batches(monkeypatch, roots_per_batch):
+    batches = 0
+    real = algebra._bfs_batch
+
+    def counting(*args):
+        nonlocal batches
+        batches += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_bfs_batch", counting)
+    for i in range(10):
+        g = random_graph(random_spec(1900 + i, max_nodes=12))
+        monkeypatch.setattr(algebra, "_BATCH_CELLS",
+                            roots_per_batch * g.num_nodes * g.num_times)
+        batches = 0
+        roots = g.active_nodes()
+        _same_as_bfs(g, algebraic_bfs_many(g, roots))
+        assert batches == -(-len(roots) // roots_per_batch)
+
+
+def test_algebraic_bfs_many_rejects_a_bad_root_before_any_product(demo, monkeypatch):
+    def no_product(self, front):
+        raise AssertionError("a product ran before the roots were checked")
+
+    monkeypatch.setattr(BlockMatrix, "_spread", no_product)
+    for bad in ((3, 1), (99, 7), (1, 99)):
+        with pytest.raises(InactiveRootError):
+            algebraic_bfs_many(demo, [(1, 1), (2, 3), bad])
 
 
 def test_count_paths_golden(demo):

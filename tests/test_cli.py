@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from evograph.cli import geometric_sizes, main
+from evograph import algebra, traversal
+from evograph.algebra import BlockMatrix
+from evograph.cli import demo_graph, geometric_sizes, main, verify_graph
+from evograph.generator import random_graph
+from evograph.traversal import ReachedMap
+from tests_util import random_spec
 
 DEMO_TSV = "# demo\n1\t2\t1\n1\t3\t2\n2\t3\t3\n"
 
@@ -89,6 +94,72 @@ def test_verify_random(capsys):
     assert main(["verify", "--random", "2", "--seed", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_names_a_dropped_entry(monkeypatch, demo_file, capsys):
+    real = algebra.algebraic_bfs_many
+
+    def dropping(g, roots):
+        maps = real(g, roots)
+        entries = dict(maps[0].entries)
+        del entries[next(tn for tn in entries if tn.node == 3)]
+        maps[0] = ReachedMap(maps[0].root, entries, maps[0].iterations)
+        return maps
+
+    monkeypatch.setattr(algebra, "algebraic_bfs_many", dropping)
+    assert verify_graph(demo_graph()) == (6, [
+        "root (1@1): traversal/algebra disagree at (3@2): distance 2 vs unreached",
+        "root (1@1): expansion/algebra disagree at (3@2): distance 2 vs unreached",
+    ])
+    assert main(["verify", demo_file]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL") and "traversal/algebra disagree at (3@2)" in out
+
+
+def test_verify_names_a_shifted_distance(monkeypatch):
+    real = traversal.bfs
+
+    def shifting(g, root):
+        entries = dict(real(g, root).entries)
+        last = list(entries)[-1]
+        entries[last] += 1
+        return ReachedMap(root, entries)
+
+    monkeypatch.setattr(traversal, "bfs", shifting)
+    _, bad = verify_graph(demo_graph())
+    assert bad[:2] == [
+        "root (1@1): traversal/expansion disagree at (3@3): distance 4 vs 3",
+        "root (1@1): traversal/algebra disagree at (3@3): distance 4 vs 3",
+    ]
+    assert not any("expansion/algebra" in msg for msg in bad)
+
+
+@pytest.mark.parametrize("roots_per_batch", [None, 4])
+def test_verify_runs_one_product_per_level_per_batch(monkeypatch, roots_per_batch):
+    calls = {"_spread": 0, "_matvec_blocks": 0}
+    for name in calls:
+        real = getattr(BlockMatrix, name)
+
+        def counting(self, arg, name=name, real=real):
+            calls[name] += 1
+            return real(self, arg)
+
+        monkeypatch.setattr(BlockMatrix, name, counting)
+    g = random_graph(random_spec(2100, max_nodes=30, max_times=5, density=2.0))
+    roots = g.active_nodes()
+    assert len(roots) > 8
+    width = len(roots)
+    if roots_per_batch is not None:
+        width = roots_per_batch
+        monkeypatch.setattr(algebra, "_BATCH_CELLS",
+                            width * g.num_nodes * g.num_times)
+    depth = [traversal.bfs(g, r).iterations for r in roots]
+    assert verify_graph(g) == (len(roots), [])
+    # the deepest root of each batch sets that batch's number of levels
+    assert calls["_spread"] == sum(max(depth[i:i + width])
+                                   for i in range(0, len(roots), width))
+    assert calls["_spread"] < sum(depth)
+    assert calls["_matvec_blocks"] == 0
 
 
 def test_demo_naive_sum(capsys):
@@ -180,6 +251,9 @@ def test_usage_errors_exit_2(demo_file):
         ["bench", "--reps", "0"],
         ["verify", "--random", "-1"],
         ["verify", "--random", "0"],
+        ["verify", "--random", "1", "--seed", "-5"],
+        ["generate", "--nodes", "3", "--times", "2", "--edges", "2", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
