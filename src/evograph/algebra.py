@@ -59,19 +59,19 @@ class SliceMatrix:
 
 
 def slice_matrices(g: EvolvingGraph) -> list[SliceMatrix]:
-    return [_build_slice(g, t) for t in range(g.num_times)]
-
-
-def _build_slice(g: EvolvingGraph, t: int) -> SliceMatrix:
+    lay = g.layout
     n = g.num_nodes
-    rows, cols = [], []
-    for u, nbrs in g._out[t].items():
-        rows.extend([u] * len(nbrs))
-        cols.extend(nbrs)
-    mat = sp.csc_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n)
-    )
-    return SliceMatrix(t, g.time_label(t), mat)
+    src, dst = lay.steps()
+    rows, cols = lay.node[src], lay.node[dst]
+    # steps run in (time, source) order, so each slice's steps are contiguous
+    bounds = lay.indptr[lay.time_ptr].tolist()
+    out = []
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        mat = sp.csc_matrix(
+            (np.ones(hi - lo, dtype=np.int64), (rows[lo:hi], cols[lo:hi])), shape=(n, n)
+        )
+        out.append(SliceMatrix(t, g.time_label(t), mat))
+    return out
 
 
 class BlockVector:
@@ -221,40 +221,21 @@ class BlockMatrix:
     def active_order(self) -> tuple[TemporalNode, ...]:
         return tuple(self.graph.active_nodes())
 
-    def _entries(self, restricted: bool):
-        """Yield (row temporal node, col temporal node) for every 1-entry."""
-        g = self.graph
-        for t in range(g.num_times):
-            lab = g.time_label(t)
-            for u, nbrs in g._out[t].items():
-                uk = g.node_key(u)
-                for v in nbrs:
-                    yield TemporalNode(uk, lab), TemporalNode(g.node_key(v), lab)
-        for v in g.nodes:
-            if restricted:
-                labs = g.active_time_labels(v)
-            else:
-                labs = [lab for lab in g.time_labels if g.is_active(v, lab)]
-            for s, t in combinations(labs, 2):
-                yield TemporalNode(v, s), TemporalNode(v, t)
-
     def to_coo(self, restricted: bool = True) -> sp.coo_matrix:
+        """Every 1-entry: the same-slice steps in (time, source, target)
+        order, then the time jumps in (node, earlier, later) order.  Rows
+        and columns are active ids, or (time, node) cells of the full
+        space when ``restricted`` is False."""
         g = self.graph
-        if restricted:
-            order = self.active_order()
-            index = {tn: i for i, tn in enumerate(order)}
-            dim = len(order)
-        else:
-            index = {
-                TemporalNode(k, lab): t * g.num_nodes + i
-                for t, lab in enumerate(g.time_labels)
-                for i, k in enumerate(g.nodes)
-            }
+        lay = g.layout
+        steps, jumps = lay.steps(), lay.jumps()
+        rows = np.concatenate((steps[0], jumps[0]))
+        cols = np.concatenate((steps[1], jumps[1]))
+        dim = g.num_active()
+        if not restricted:
+            cell = lay.time * g.num_nodes + lay.node
+            rows, cols = cell[rows], cell[cols]
             dim = g.num_nodes * g.num_times
-        rows, cols = [], []
-        for a, b in self._entries(restricted):
-            rows.append(index[a])
-            cols.append(index[b])
         data = np.ones(len(rows), dtype=np.int64)
         return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
 
@@ -269,10 +250,9 @@ class BlockMatrix:
 
 
 def _active_mask(g: EvolvingGraph, t: int) -> np.ndarray:
+    lay = g.layout
     mask = np.zeros(g.num_nodes, dtype=np.int64)
-    ids = sorted(g._active[t])
-    if ids:
-        mask[ids] = 1
+    mask[lay.node[lay.time_ptr[t]:lay.time_ptr[t + 1]]] = 1
     return mask
 
 
@@ -364,17 +344,20 @@ def _bfs_batch(op: BlockMatrix, root_tns, starts) -> list[ReachedMap]:
         front = new.reshape(nt, n, w).astype(np.int32)
 
     # reached cells of every root in (root, distance, cell) order; a cell
-    # is time * n + node, so this is the (distance, time, node) entry order
+    # is time * n + node, so this is the (distance, time, node) entry order.
+    # Reached cells are active, and active ids follow the cell order.
     root_of, cell = np.nonzero(dist.T >= 0)
     d = dist[cell, root_of]
     order = np.lexsort((cell, d, root_of))
-    cell, d = cell[order].tolist(), d[order].tolist()
+    lay = g.layout
+    aid = np.searchsorted(lay.time * n + lay.node, cell[order]).tolist()
+    d = d[order].tolist()
     ends = np.cumsum(np.bincount(root_of, minlength=w)).tolist()
     out = []
     lo = 0
     for root_tn, hi in zip(root_tns, ends):
         out.append(ReachedMap._from_ids(
-            g, root_tn, cell[lo:hi], d[lo:hi], d[hi - 1] + 1, ()))
+            g, root_tn, aid[lo:hi], d[lo:hi], d[hi - 1] + 1, ()))
         lo = hi
     return out
 
@@ -447,58 +430,38 @@ def nilpotency_index(g: EvolvingGraph) -> int | None:
     then one more than the longest temporal path, and never exceeds the
     number of active temporal nodes plus one.  Returns None otherwise.
     """
-    topo: list[list[int] | None] = []
-    for t in range(g.num_times):
-        order = _topo_order(g._out[t], g._active[t])
-        if order is None:
-            return None
-        topo.append(order)
+    lay = g.layout
+    n_active = g.num_active()
+    # a longest path only ever jumps to its node's next active stamp
+    first, later = lay.node_aids[:-1], lay.node_aids[1:]
+    nxt = lay.node[first] == lay.node[later]
+    src = np.concatenate((lay.steps()[0], first[nxt]))
+    dst = np.concatenate((lay.indices, later[nxt]))
+    by_src = np.argsort(src, kind="stable")
+    ptr = np.searchsorted(src[by_src], np.arange(n_active + 1)).tolist()
+    succ = dst[by_src].tolist()
 
-    # longest outgoing path per active temporal node, times descending
-    longest: dict[tuple[int, int], int] = {}
-    best_later: dict[int, int] = {}
-    for t in range(g.num_times - 1, -1, -1):
-        out = g._out[t]
-        for v in reversed(topo[t]):
-            best = 0
-            for u in out.get(v, ()):
-                cand = 1 + longest[(t, u)]
-                if cand > best:
-                    best = cand
-            if v in best_later:
-                cand = 1 + best_later[v]
-                if cand > best:
-                    best = cand
-            longest[(t, v)] = best
-        for v in topo[t]:
-            cur = longest[(t, v)]
-            if v not in best_later or cur > best_later[v]:
-                best_later[v] = cur
+    # Kahn's algorithm over steps and next-stamp jumps; jumps go forward in
+    # time, so a cycle can only sit inside a slice
+    indeg = np.bincount(dst, minlength=n_active).tolist()
+    order = [a for a in range(n_active) if not indeg[a]]
+    for a in order:  # the list grows while it is walked
+        for b in succ[ptr[a]:ptr[a + 1]]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                order.append(b)
+    if len(order) < n_active:
+        return None
 
-    index = 1 + max(longest.values(), default=0)
-    if index > g.num_active() + 1:
+    longest = [0] * n_active  # edges on the longest path out of each node
+    for a in reversed(order):
+        for b in succ[ptr[a]:ptr[a + 1]]:
+            if longest[b] >= longest[a]:
+                longest[a] = longest[b] + 1
+    index = 1 + max(longest, default=0)
+    if index > n_active + 1:
         raise RuntimeError("nilpotency index exceeds the active-node count plus one")
     return index
-
-
-def _topo_order(adj: dict, active: frozenset) -> list[int] | None:
-    """Kahn's algorithm over one slice; None when the slice has a cycle."""
-    indeg = {v: 0 for v in active}
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            indeg[v] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for u in adj.get(v, ()):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    if len(order) < len(indeg):
-        return None
-    return order
 
 
 @dataclass
@@ -535,7 +498,7 @@ def naive_path_sum(g: EvolvingGraph, upto_label: int | None = None) -> np.ndarra
     n = g.num_nodes
     if m < 2:
         return np.zeros((n, n), dtype=np.int64)
-    mats = [_build_slice(g, t).matrix.toarray() for t in range(m)]
+    mats = [sm.matrix.toarray() for sm in slice_matrices(g)[:m]]
     total = np.zeros((n, n), dtype=np.int64)
     interior = list(range(1, last))
     for r in range(len(interior) + 1):

@@ -17,7 +17,7 @@ import time
 from itertools import combinations
 
 from . import algebra, citenet, flatten, generator, traversal
-from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
+from .core import EvolvingGraph, TemporalNode, _build_columns, build_graph, read_tsv
 from .errors import EvographError, ParseError
 
 
@@ -31,17 +31,18 @@ def load_edge_list(path, directed=True) -> EvolvingGraph:
     otherwise they stay strings.  Time must always be an integer.
     """
     rows, _, _ = read_tsv(path)
-    if all(_intable(u) and _intable(v) for u, v, _ in rows):
-        rows = [(int(u), int(v), t) for u, v, t in rows]
-    return build_graph(rows, directed=directed)
-
-
-def _intable(s: str) -> bool:
+    src = [row[0] for row in rows]
+    dst = [row[1] for row in rows]
+    times = [row[2] for row in rows]
+    names = set(src)
+    names.update(dst)
     try:
-        int(s)
-        return True
+        as_int = {name: int(name) for name in names}
     except ValueError:
-        return False
+        pass  # some name is not an integer, so every name stays a string
+    else:
+        src, dst = list(map(as_int.__getitem__, src)), list(map(as_int.__getitem__, dst))
+    return _build_columns(src, dst, times, directed)
 
 
 def parse_temporal(token: str, g: EvolvingGraph) -> TemporalNode:

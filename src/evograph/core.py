@@ -3,20 +3,29 @@
 An evolving graph is a time-ordered sequence of static graph slices over a
 shared node universe.  A temporal node is a (node, time) pair; it is *active*
 when its slice contains at least one edge between it and a different node.
-Traversal never visits inactive temporal nodes, so activeness is computed once
-at build time and kept as a per-slice set plus a per-node sorted list of
-active times.
+Traversal never visits inactive temporal nodes, so a graph is stored over its
+active temporal nodes only, as integer arrays (:class:`Layout`):
 
-Graphs are immutable after construction and safe to share between threads.
+- each active temporal node has a dense *active id*, in (time, node) order;
+- the same-slice edges form one CSR over active ids;
+- each node has a CSR of its active ids in ascending time, and each active
+  id knows its position there, so the time jumps out of it are one slice.
+
+``build_graph`` codes its input into these arrays with sorts and counts.  The
+derived graphs (``transposed``, ``time_mirrored``) are array passes over the
+layout.  Graphs
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Hashable, Iterable, Iterator, Sequence, Union
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import EmptyGraphError, InactiveRootError, KeyTypeError, ParseError
 
@@ -72,35 +81,105 @@ def _check_label(t) -> int:
         raise KeyTypeError(f"time labels must be integers, got {t!r}") from None
 
 
+
+
+class Layout(NamedTuple):
+    """Integer layout of a graph over its active temporal nodes.
+
+    With ``A`` active ids, ``N`` nodes and ``T`` time stamps:
+
+    - ``time_ptr`` (T + 1): the active ids at time index t are
+      ``time_ptr[t]`` to ``time_ptr[t + 1] - 1``;
+    - ``node``, ``time`` (A): node id and time index of each active id;
+    - ``indptr`` (A + 1) and ``indices``: the same-slice successors of each
+      active id, ascending; undirected edges are stored both ways;
+    - ``node_ptr`` (N + 1) and ``node_aids`` (A): the active ids of node v,
+      in ascending time, are ``node_aids[node_ptr[v]:node_ptr[v + 1]]``;
+    - ``pos`` (A): the index of each active id in ``node_aids``.
+
+    ``EvolvingGraph.layout`` holds read-only int64 arrays, on which ``steps``
+    and ``jumps`` work; ``EvolvingGraph.layout_lists`` holds the same fields
+    as tuples of Python ints, for loops that read one entry at a time.
+    """
+
+    time_ptr: Sequence[int]
+    node: Sequence[int]
+    time: Sequence[int]
+    indptr: Sequence[int]
+    indices: Sequence[int]
+    node_ptr: Sequence[int]
+    node_aids: Sequence[int]
+    pos: Sequence[int]
+
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target) active ids of every same-slice step, in CSR order."""
+        return np.repeat(np.arange(len(self.node)), np.diff(self.indptr)), self.indices
+
+    def jumps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(earlier, later) active ids of every time jump, one per ordered
+        pair of active stamps of a node, in (node, earlier, later) order."""
+        p = np.arange(len(self.node))
+        count = self.node_ptr[self.node[self.node_aids] + 1] - p - 1
+        first = np.repeat(p, count)
+        # the later ends of position p's jumps sit at p + 1, p + 2, ...
+        later = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count - p - 1, count)
+        return self.node_aids[first], self.node_aids[later]
+
+
+def _offsets(ids: np.ndarray, size: int) -> np.ndarray:
+    """CSR pointers over ``size`` groups: group i holds ptr[i + 1] - ptr[i]
+    of the ``ids``."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=size), out=ptr[1:])
+    return ptr
+
+
+def _layout(n_nodes: int, n_times: int, time: np.ndarray, node: np.ndarray,
+            src: np.ndarray, dst: np.ndarray) -> Layout:
+    """Layout from the active temporal nodes in (time, node) order and the
+    (source, target) active ids of every same-slice step, in any order and
+    possibly repeated."""
+    a = len(node)
+    steps = np.sort(src * a + dst)
+    steps = steps[np.diff(steps, prepend=-1) != 0]  # one per distinct step
+    src, indices = np.divmod(steps, a)
+    node_aids = np.argsort(node, kind="stable")  # ties keep ascending time
+    pos = np.empty(a, dtype=np.int64)
+    pos[node_aids] = np.arange(a)
+    layout = Layout(_offsets(time, n_times), node, time, _offsets(src, a), indices,
+                    _offsets(node, n_nodes), node_aids, pos)
+    for arr in layout:
+        arr.flags.writeable = False  # graphs are immutable
+    return layout
+
+
 class EvolvingGraph:
     """Immutable sequence of time-stamped graph slices.
 
-    Construct with :func:`build_graph`.  Node ids and time indices are dense
-    and assigned in sorted key/label order, which makes every derived
-    structure independent of input edge order.
+    Construct with :func:`build_graph`.  Node ids, time indices and active
+    ids are dense and assigned in sorted key/label order, which makes every
+    derived structure independent of input edge order.
     """
 
     __slots__ = (
         "directed",
-        "_keys",          # tuple of node keys, sorted; position = node id
-        "_id_of",         # node key -> id
-        "_labels",        # tuple of int time labels, sorted; position = time index
-        "_tidx_of",       # label -> time index
-        "_out",           # per time index: dict node id -> sorted tuple of successor ids
-        "_active",        # per time index: frozenset of active node ids
-        "_active_times",  # per node id: sorted tuple of time indices where active
-        "_n_edges",       # number of stored (deduplicated) static edges
+        "_keys",      # tuple of node keys, sorted; position = node id
+        "_id_of",     # node key -> id
+        "_labels",    # tuple of int time labels, sorted; position = time index
+        "_tidx_of",   # label -> time index
+        "_layout",    # Layout of int64 arrays over the active temporal nodes
+        "_lists",     # the same Layout as tuples of ints, made on first use
+        "_n_edges",   # number of stored (deduplicated) static edges
     )
 
-    def __init__(self, *, directed, keys, labels, out, active, active_times, n_edges):
+    def __init__(self, *, directed, keys, labels, layout, n_edges, id_of=None):
         self.directed = directed
         self._keys = keys
-        self._id_of = {k: i for i, k in enumerate(keys)}
+        self._id_of = {k: i for i, k in enumerate(keys)} if id_of is None else id_of
         self._labels = labels
         self._tidx_of = {lab: i for i, lab in enumerate(labels)}
-        self._out = out
-        self._active = active
-        self._active_times = active_times
+        self._layout = layout
+        self._lists = None
         self._n_edges = n_edges
 
     # -- basic shape ----------------------------------------------------
@@ -149,10 +228,47 @@ class EvolvingGraph:
         return (self.directed == other.directed
                 and self._keys == other._keys
                 and self._labels == other._labels
-                and self._out == other._out)
+                and all(np.array_equal(a, b)
+                        for a, b in zip(self._layout, other._layout)))
 
     def __hash__(self):
         return hash((self.directed, self._keys, self._labels))
+
+    # -- integer layout ---------------------------------------------------
+
+    @property
+    def layout(self) -> Layout:
+        """The graph's arrays over active ids; see :class:`Layout`."""
+        return self._layout
+
+    @property
+    def layout_lists(self) -> Layout:
+        """``layout`` as tuples of Python ints, made once per graph."""
+        if self._lists is None:
+            self._lists = Layout._make(tuple(a.tolist()) for a in self._layout)
+        return self._lists
+
+    def temporal_nodes(self, aids) -> list[TemporalNode]:
+        """The temporal nodes of some active ids, in the order given."""
+        keys, labels = self._keys, self._labels
+        lists = self.layout_lists
+        node, time = lists.node, lists.time
+        return [TemporalNode(keys[node[a]], labels[time[a]]) for a in aids]
+
+    def _find(self, node, label) -> int:
+        """Active id of (node, label), or -1 when it is inactive or unknown."""
+        t = self._tidx_of.get(label)
+        v = self._id_of.get(node)
+        if t is None or v is None:
+            return -1
+        lists = self.layout_lists
+        hi = lists.time_ptr[t + 1]
+        a = bisect_left(lists.node, v, lists.time_ptr[t], hi)
+        return a if a < hi and lists.node[a] == v else -1
+
+    def _successors(self, a: int) -> tuple[int, ...]:
+        lists = self.layout_lists
+        return lists.indices[lists.indptr[a]:lists.indptr[a + 1]]
 
     # -- edges ----------------------------------------------------------
 
@@ -161,78 +277,71 @@ class EvolvingGraph:
 
         Undirected edges come out once, in canonical (min, max) orientation.
         """
-        for t, adj in enumerate(self._out):
-            lab = self._labels[t]
-            rows = []
-            for u, nbrs in adj.items():
-                uk = self._keys[u]
-                for v in nbrs:
-                    vk = self._keys[v]
-                    if self.directed or uk <= vk:
-                        rows.append((uk, vk))
-            rows.sort()
-            for uk, vk in rows:
-                yield EdgeRecord(uk, vk, lab)
+        lay = self._layout
+        src, dst = lay.steps()
+        u, v, t = lay.node[src], lay.node[dst], lay.time[src]
+        if not self.directed:
+            once = u < v
+            u, v, t = u[once], v[once], t[once]
+        keys, labels = self._keys, self._labels
+        for a, b, c in zip(u.tolist(), v.tolist(), t.tolist()):
+            yield EdgeRecord(keys[a], keys[b], labels[c])
 
     def has_edge(self, src, dst, time_label) -> bool:
         """True when dst can be stepped to from src within the given slice."""
-        t = self._tidx_of.get(time_label)
-        u = self._id_of.get(src)
-        v = self._id_of.get(dst)
-        if t is None or u is None or v is None:
-            return False
-        return v in self._out[t].get(u, ())
+        a = self._find(src, time_label)
+        b = self._find(dst, time_label)
+        return a >= 0 and b >= 0 and b in self._successors(a)
 
     def neighbors(self, node, time_label) -> tuple:
         """Same-slice successors of ``node`` at ``time_label`` (node keys)."""
-        t = self._tidx_of.get(time_label)
-        u = self._id_of.get(node)
-        if t is None or u is None:
+        a = self._find(node, time_label)
+        if a < 0:
             return ()
-        return tuple(self._keys[v] for v in self._out[t].get(u, ()))
+        node_of = self.layout_lists.node
+        return tuple(self._keys[node_of[b]] for b in self._successors(a))
 
     # -- activeness -----------------------------------------------------
 
     def is_active(self, node, time_label) -> bool:
         """True when the slice at ``time_label`` has an edge between ``node``
         and some other node.  Unknown nodes or times are simply inactive."""
-        t = self._tidx_of.get(time_label)
-        v = self._id_of.get(node)
-        if t is None or v is None:
-            return False
-        return v in self._active[t]
+        return self._find(node, time_label) >= 0
 
-    def require_active(self, tn: TemporalNodeLike) -> tuple[int, int]:
-        """(time index, node id) of an active temporal node.
+    def active_id(self, tn: TemporalNodeLike) -> int:
+        """Active id of an active temporal node.
 
         Every traversal starts from an active temporal node; an inactive or
         unknown one raises InactiveRootError.
         """
         node, lab = _as_pair(tn)
-        t = self._tidx_of.get(lab)
-        v = self._id_of.get(node)
-        if t is None or v is None or v not in self._active[t]:
+        a = self._find(node, lab)
+        if a < 0:
             raise InactiveRootError(f"({node!r}, {lab}) is not an active temporal node")
-        return t, v
+        return a
+
+    def require_active(self, tn: TemporalNodeLike) -> tuple[int, int]:
+        """(time index, node id) of an active temporal node; InactiveRootError
+        for an inactive or unknown one."""
+        a = self.active_id(tn)
+        lists = self.layout_lists
+        return lists.time[a], lists.node[a]
 
     def active_nodes(self) -> list[TemporalNode]:
         """All active temporal nodes in (time, node) order."""
-        out = []
-        for t, ids in enumerate(self._active):
-            lab = self._labels[t]
-            for v in sorted(ids):
-                out.append(TemporalNode(self._keys[v], lab))
-        return out
+        return self.temporal_nodes(range(self.num_active()))
 
     def num_active(self) -> int:
-        return sum(len(ids) for ids in self._active)
+        return len(self._layout.node)
 
     def active_time_labels(self, node) -> tuple[int, ...]:
         """Time labels at which ``node`` is active, ascending."""
         v = self._id_of.get(node)
         if v is None:
             return ()
-        return tuple(self._labels[t] for t in self._active_times[v])
+        lists = self.layout_lists
+        aids = lists.node_aids[lists.node_ptr[v]:lists.node_ptr[v + 1]]
+        return tuple(self._labels[lists.time[a]] for a in aids)
 
     # -- temporal-path primitives ----------------------------------------
 
@@ -244,17 +353,13 @@ class EvolvingGraph:
         is active.  Inactive temporal nodes have no forward neighbors.
         Results are sorted by (time, node).
         """
-        node, lab = _as_pair(tn)
-        t = self._tidx_of.get(lab)
-        v = self._id_of.get(node)
-        if t is None or v is None or v not in self._active[t]:
+        a = self._find(*_as_pair(tn))
+        if a < 0:
             return []
-        out = [TemporalNode(self._keys[u], lab) for u in self._out[t].get(v, ())]
-        ats = self._active_times[v]
-        for t2 in ats[bisect_right(ats, t):]:
-            out.append(TemporalNode(node, self._labels[t2]))
-        out.sort()
-        return out
+        lists = self.layout_lists
+        later = lists.node_aids[lists.pos[a] + 1:lists.node_ptr[lists.node[a] + 1]]
+        # steps stay at this time and jumps go later, so this is (time, node) order
+        return self.temporal_nodes(self._successors(a) + later)
 
     def is_temporal_path(self, seq: Sequence[TemporalNodeLike]) -> bool:
         """Check a sequence of temporal nodes against the path rules.
@@ -281,42 +386,42 @@ class EvolvingGraph:
 
     # -- derived graphs ---------------------------------------------------
 
+    def _derived(self, labels, time, node, src, dst) -> "EvolvingGraph":
+        return EvolvingGraph(
+            directed=self.directed,
+            keys=self._keys,
+            labels=labels,
+            layout=_layout(self.num_nodes, len(labels), time, node, src, dst),
+            n_edges=self._n_edges,
+            id_of=self._id_of,
+        )
+
     def transposed(self) -> "EvolvingGraph":
         """Same slices with every edge direction flipped.
 
-        Activeness does not depend on edge orientation, so the active
-        structure is shared as-is.  Undirected graphs are returned unchanged.
+        Activeness does not depend on edge orientation, so the active ids
+        stay as they are.  Undirected graphs are returned unchanged.
         """
         if not self.directed:
             return self
-        return EvolvingGraph(
-            directed=True,
-            keys=self._keys,
-            labels=self._labels,
-            out=[_invert_adjacency(adj) for adj in self._out],
-            active=self._active,
-            active_times=self._active_times,
-            n_edges=self._n_edges,
-        )
+        lay = self._layout
+        src, dst = lay.steps()
+        return self._derived(self._labels, lay.time, lay.node, dst, src)
 
     def time_mirrored(self) -> "EvolvingGraph":
         """Reverse the time axis (labels are negated), keeping every edge.
 
-        Slice i is this graph's slice T-1-i, shared as-is.  A temporal path
-        here walks this graph's edges backward in time.
+        Slice i is this graph's slice T-1-i.  A temporal path here walks this
+        graph's edges backward in time.
         """
-        last = self.num_times - 1
-        return EvolvingGraph(
-            directed=self.directed,
-            keys=self._keys,
-            labels=tuple(-lab for lab in reversed(self._labels)),
-            out=self._out[::-1],
-            active=self._active[::-1],
-            active_times=tuple(
-                tuple(last - t for t in reversed(ats)) for ats in self._active_times
-            ),
-            n_edges=self._n_edges,
-        )
+        lay = self._layout
+        time = self.num_times - 1 - lay.time
+        order = np.argsort(time * self.num_nodes + lay.node)  # old ids, new order
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(len(order))
+        src, dst = lay.steps()
+        return self._derived(tuple(-lab for lab in reversed(self._labels)),
+                             time[order], lay.node[order], new_id[src], new_id[dst])
 
     def time_reversed(self) -> "EvolvingGraph":
         """Reverse the time axis (labels are negated) and flip edges.
@@ -326,14 +431,6 @@ class EvolvingGraph:
         equal graph.
         """
         return self.time_mirrored().transposed()
-
-
-def _invert_adjacency(adj: dict) -> dict:
-    inv: dict = {}
-    for u, nbrs in adj.items():
-        for v in nbrs:
-            inv.setdefault(v, []).append(u)
-    return {v: tuple(sorted(us)) for v, us in sorted(inv.items())}
 
 
 def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
@@ -348,69 +445,62 @@ def build_graph(edges: Iterable, directed: bool = True) -> EvolvingGraph:
     KeyTypeError when a time label is not an integer or two node keys cannot
     be ordered against each other.
     """
-    node_set: set = set()
-    label_set: set = set()
-    kept: set = set()
-    n_records = 0
+    src, dst, times = [], [], []
     for e in edges:
         if isinstance(e, EdgeRecord):
-            src, dst, t = e.src, e.dst, e.time
+            s, d, t = e.src, e.dst, e.time
         else:
-            src, dst, t = e
-        t = _check_label(t)
-        n_records += 1
-        node_set.add(src)
-        node_set.add(dst)
-        label_set.add(t)
-        if src == dst:
-            continue  # self-loops never make a node active
-        if not directed and (dst, src, t) in kept:
-            continue  # the same undirected edge, seen the other way round
-        kept.add((src, dst, t))
+            s, d, t = e
+        src.append(s)
+        dst.append(d)
+        times.append(_check_label(t))
+    return _build_columns(src, dst, times, directed)
 
-    if n_records == 0:
+
+def _build_columns(src: Sequence, dst: Sequence, times: Sequence[int],
+                   directed: bool) -> EvolvingGraph:
+    """``build_graph`` on its records split into columns, with every time
+    label already an int.
+
+    Keys and labels are sorted as Python objects; everything after that is
+    array work on their codes: one ``np.unique`` finds the active temporal
+    nodes, and one sort in ``_layout`` the distinct edges.
+    """
+    if not times:
         raise EmptyGraphError("edge list is empty")
-
+    node_set = set(src)
+    node_set.update(dst)
     try:
         keys = tuple(sorted(node_set))
     except TypeError:
         raise KeyTypeError(
             "node keys must be mutually ordered, e.g. all ints or all strings") from None
+    labels = tuple(sorted(set(times)))
     id_of = {k: i for i, k in enumerate(keys)}
-    labels = tuple(sorted(label_set))
     tidx_of = {lab: i for i, lab in enumerate(labels)}
-    n_times = len(labels)
+    m, n = len(times), len(keys)
+    u = np.fromiter(map(id_of.__getitem__, src), dtype=np.int64, count=m)
+    v = np.fromiter(map(id_of.__getitem__, dst), dtype=np.int64, count=m)
+    t = np.fromiter(map(tidx_of.__getitem__, times), dtype=np.int64, count=m)
 
-    out_lists: list[dict] = [{} for _ in range(n_times)]
-    active: list[set] = [set() for _ in range(n_times)]
-    for src, dst, lab in kept:
-        t = tidx_of[lab]
-        u = id_of[src]
-        v = id_of[dst]
-        out_lists[t].setdefault(u, []).append(v)
-        if not directed:
-            out_lists[t].setdefault(v, []).append(u)
-        active[t].add(u)
-        active[t].add(v)
-
-    out = [
-        {u: tuple(sorted(nbrs)) for u, nbrs in sorted(adj.items())}
-        for adj in out_lists
-    ]
-    active_frozen = [frozenset(ids) for ids in active]
-    times_of: list[list] = [[] for _ in keys]
-    for t, ids in enumerate(active_frozen):
-        for v in ids:
-            times_of[v].append(t)  # t ascends, so each list comes out sorted
-    active_times = tuple(tuple(ts) for ts in times_of)
+    step = u != v  # self-loops never make a node active
+    u, v, t = u[step], v[step], t[step]
+    # active temporal nodes are the distinct endpoint cells time * n + node,
+    # so their sorted order is the (time, node) order of the active ids; the
+    # int64 codes here stay below (2 * records) ** 2, far from overflow
+    cells, aid = np.unique(np.concatenate((t * n + u, t * n + v)), return_inverse=True)
+    head, tail = np.split(aid, 2)
+    if not directed:
+        head, tail = aid, np.concatenate((tail, head))
+    time, node = np.divmod(cells, n)
+    layout = _layout(n, len(labels), time, node, head, tail)
     return EvolvingGraph(
         directed=directed,
         keys=keys,
         labels=labels,
-        out=out,
-        active=active_frozen,
-        active_times=active_times,
-        n_edges=len(kept),
+        layout=layout,
+        n_edges=len(layout.indices) if directed else len(layout.indices) // 2,
+        id_of=id_of,
     )
 
 
@@ -421,7 +511,11 @@ def read_tsv(path) -> tuple[list[tuple[str, str, int]], int, int]:
     whitespace-stripped strings; times must be integers.  Returns the rows,
     the number of lines read and the number of comment lines.  A malformed
     row (wrong field count, empty name, non-integer time) or a line that is
-    not UTF-8 raises ParseError with its line number.
+    not UTF-8 raises ParseError with its line number.  The file is decoded
+    as it is read, in blocks of 8 KiB, so when a file has both faults the
+    UTF-8 error wins if its block is decoded before the bad row is reached
+    (it lies in the same block or an earlier one), and the row error wins
+    otherwise.
     """
     rows = []
     comments = 0

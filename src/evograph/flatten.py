@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import InactiveRootError
@@ -48,36 +47,26 @@ class StaticExpansion:
 
 
 def expand(g: EvolvingGraph) -> StaticExpansion:
-    """Materialize the static expansion of ``g``."""
+    """Materialize the static expansion of ``g``.
+
+    Its node positions are ``g``'s active ids, its same-time edges the
+    layout's steps and its time jumps the layout's jumps; ``successors``
+    are the ``forward_neighbors`` of each node.
+    """
     nodes = tuple(g.active_nodes())
     index_of = {tn: i for i, tn in enumerate(nodes)}
 
-    static = set()
-    for e in g.edges():
-        a = TemporalNode(e.src, e.time)
-        b = TemporalNode(e.dst, e.time)
-        static.add((a, b))
-        if not g.directed:
-            static.add((b, a))
+    def pairs(src, dst):
+        return frozenset(zip(map(nodes.__getitem__, src.tolist()),
+                             map(nodes.__getitem__, dst.tolist())))
 
-    causal = set()
-    for v in g.nodes:
-        labs = g.active_time_labels(v)
-        for s, t in combinations(labs, 2):
-            causal.add((TemporalNode(v, s), TemporalNode(v, t)))
-
-    succ: dict = {tn: [] for tn in nodes}
-    for a, b in static:
-        succ[a].append(b)
-    for a, b in causal:
-        succ[a].append(b)
-    successors = {tn: tuple(sorted(lst)) for tn, lst in succ.items()}
-
+    lay = g.layout
+    successors = {tn: tuple(g.forward_neighbors(tn)) for tn in nodes}
     return StaticExpansion(
         nodes=nodes,
         index_of=index_of,
-        static_edges=frozenset(static),
-        causal_edges=frozenset(causal),
+        static_edges=pairs(*lay.steps()),
+        causal_edges=pairs(*lay.jumps()),
         successors=successors,
     )
 
@@ -101,8 +90,11 @@ def static_bfs(x: StaticExpansion, root: TemporalNodeLike) -> ReachedMap:
             if b not in dist:
                 dist[b] = d
                 q.append(b)
+    # (distance, time, node) read from the fields: an index_of lookup would
+    # hash every TemporalNode in Python, and TemporalNode.__lt__ is slower still
     entries = {
-        tn: d for tn, d in sorted(dist.items(), key=lambda kv: (kv[1], kv[0]))
+        tn: d for tn, d in sorted(dist.items(),
+                                  key=lambda kv: (kv[1], kv[0].time, kv[0].node))
     }
     iterations = max(entries.values()) + 1
     return ReachedMap(root_tn, entries, iterations=iterations)

@@ -1,22 +1,19 @@
 """Breadth-first traversal over temporal paths.
 
-The frontier algorithm below touches each active temporal node once and each
-same-slice edge once.  Time jumps stay implicit: each node keeps a jump
-watermark, the lowest position in its sorted active-time list from which
-every later stamp is already reached, so a jump only scans the stamps below
-it.  Each active stamp is scanned at most once per node, and each expansion
-adds one bisect, so the jump work is linear in active temporal nodes instead
-of quadratic in each node's stamp count.  The ``dist`` array still spans the
-whole nodes x times universe, so a query also costs O(nodes x times) for its
-allocation.  The hot loop works on integer-encoded temporal nodes
-(time * num_nodes + node); the result builds its user-facing entries on first
-read and its leaves on their own first read, so timing the traversal times
-the traversal.
+The frontier algorithm below runs on the graph's layout (see
+``core.Layout``): ``dist`` is indexed by active id, so a query allocates
+O(active temporal nodes), never O(nodes x times).  It touches each reached
+temporal node once and each same-slice edge out of it once.  Time jumps stay
+implicit: a jump from an active id scans the later entries of its node's
+active-id list, and a per-entry ``done`` flag, set on every entry a jump has
+scanned or started from, stops the scan where every later stamp is already
+reached.  Each entry is scanned at most once, so the jump work is linear in
+active temporal nodes.  The hot loop reads tuples of ints made once per graph;
+the result builds its user-facing entries on first read and its leaves on
+their own first read, so timing the traversal times the traversal.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import InactiveRootError
@@ -44,8 +41,8 @@ class ReachedMap:
 
     @classmethod
     def _from_ids(cls, g, root, order, dists, iterations, leaf_ids):
-        """Deferred form: parallel (encoded id, distance) lists plus leaf ids,
-        each decoded on its first read."""
+        """Deferred form: parallel (active id, distance) lists plus leaf
+        active ids, each decoded on its first read."""
         rm = cls(root, iterations=iterations)
         rm._ids = (g, order, dists)
         rm._leaves = None
@@ -57,7 +54,7 @@ class ReachedMap:
         """Reached temporal node -> hop distance, in (distance, time, node) order."""
         if self._ids is not None:
             g, order, dists = self._ids
-            self._entries = dict(zip(_decode(g, order), dists))
+            self._entries = dict(zip(g.temporal_nodes(order), dists))
             self._ids = None
         return self._entries
 
@@ -66,7 +63,7 @@ class ReachedMap:
         if self._leaves is None:
             self.entries  # a first read of either field decodes the entries
             g, leaf_ids = self._leaf_ids
-            self._leaves = frozenset(_decode(g, leaf_ids))
+            self._leaves = frozenset(g.temporal_nodes(leaf_ids))
             self._leaf_ids = None
         return self._leaves
 
@@ -108,18 +105,13 @@ class ReachedMap:
             pairs = ((tn.node, tn.time) for tn in self._entries)
         else:
             g, order, _ = self._ids
-            keys, labels, n = g.nodes, g.time_labels, g.num_nodes
-            pairs = ((keys[tid % n], labels[tid // n]) for tid in order)
+            keys, labels, lay = g.nodes, g.time_labels, g.layout_lists
+            pairs = ((keys[lay.node[a]], labels[lay.time[a]]) for a in order)
         out: dict = {}
         for node, time in pairs:
             if node not in out or time < out[node]:
                 out[node] = time
         return out
-
-
-def _decode(g: EvolvingGraph, tids) -> list[TemporalNode]:
-    keys, labels, n = g.nodes, g.time_labels, g.num_nodes
-    return [TemporalNode(keys[tid % n], labels[tid // n]) for tid in tids]
 
 
 def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
@@ -130,53 +122,46 @@ def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
     iteration order are deterministic.
     """
     root_tn = TemporalNode(*_as_pair(root))
-    ti, rid = g.require_active(root_tn)
+    root_id = g.active_id(root_tn)
 
-    n = g.num_nodes
-    out = g._out
-    atimes = g._active_times
-    dist = [-1] * (n * g.num_times)
-    mark = [-1] * n  # jump watermark per node; -1 until its first jump
-    root_tid = ti * n + rid
-    dist[root_tid] = 0
-    order = [root_tid]
+    lay = g.layout_lists
+    indptr, indices = lay.indptr, lay.indices
+    node, node_ptr, node_aids, pos = lay.node, lay.node_ptr, lay.node_aids, lay.pos
+    dist = [-1] * len(node)
+    # done[p]: every entry after position p of its node's list is reached
+    done = bytearray(len(node))
+    dist[root_id] = 0
+    order = [root_id]
     dists = [0]
     leaf_ids = []
-    frontier = [root_tid]
+    frontier = [root_id]
     k = 0
     iterations = 0
     while frontier:
         iterations += 1
         k += 1
         nxt = []
-        for tid in frontier:
-            t, v = divmod(tid, n)
-            base = tid - v
+        for a in frontier:
             found_new = False
-            nbrs = out[t].get(v)
-            if nbrs:
-                for u in nbrs:
-                    tu = base + u
-                    if dist[tu] < 0:
-                        dist[tu] = k
-                        nxt.append(tu)
-                        found_new = True
-            # every stamp of v from position mark[v] on is already reached
-            ats = atimes[v]
-            hi = mark[v]
-            if hi < 0:
-                hi = len(ats)
-            lo = bisect_right(ats, t, 0, hi)
-            if lo < hi:
-                mark[v] = lo
-                for t2 in ats[lo:hi]:
-                    tu = t2 * n + v
-                    if dist[tu] < 0:
-                        dist[tu] = k
-                        nxt.append(tu)
-                        found_new = True
+            for b in indices[indptr[a]:indptr[a + 1]]:
+                if dist[b] < 0:
+                    dist[b] = k
+                    nxt.append(b)
+                    found_new = True
+            p = pos[a]
+            end = node_ptr[node[a] + 1]
+            q = p + 1
+            while q < end and not done[q]:
+                done[q] = 1
+                b = node_aids[q]
+                if dist[b] < 0:
+                    dist[b] = k
+                    nxt.append(b)
+                    found_new = True
+                q += 1
+            done[p] = 1
             if not found_new:
-                leaf_ids.append(tid)
+                leaf_ids.append(a)
         nxt.sort()
         order.extend(nxt)
         dists.extend([k] * len(nxt))

@@ -3,15 +3,21 @@
 Everything here works straight off raw (src, dst, time) triples and the
 definitions: activeness by scanning edges, the expanded digraph built edge by
 edge, distances via networkx, path counts via exhaustive walk enumeration.
-None of it shares code with the package, which is the point.
+The reference builder at the end is the set-based ``build_graph`` that the
+array-built core replaced.  None of it shares code with the package beyond
+its record and error types, which is the point.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 
 import networkx as nx
 import numpy as np
+
+from evograph import EdgeRecord
+from evograph.errors import EmptyGraphError, KeyTypeError
 
 
 def active_pairs(triples, directed=True):
@@ -191,3 +197,98 @@ def community_authors(triples, author, year):
     for a, y in leaves:
         members |= {b for b, _ in influence_authors(triples, a, -y)}
     return members
+
+
+# -- reference builder --------------------------------------------------------
+
+
+class ReferenceGraph:
+    """What the set-and-dict builder stored: sorted keys and labels, per
+    slice a dict node id -> sorted successor ids, per slice the set of
+    active ids, and per node its sorted active time indices."""
+
+    def __init__(self, directed, keys, labels, out, active, active_times, n_edges):
+        self.directed = directed
+        self.keys = keys
+        self.labels = labels
+        self.out = out
+        self.active = active
+        self.active_times = active_times
+        self.n_edges = n_edges
+
+    def __eq__(self, other):
+        return (self.directed == other.directed and self.keys == other.keys
+                and self.labels == other.labels and self.out == other.out)
+
+    def edges(self):
+        """(src, dst, label) sorted by (time, src, dst); undirected edges once."""
+        out = []
+        for t, adj in enumerate(self.out):
+            rows = []
+            for u, nbrs in adj.items():
+                for v in nbrs:
+                    uk, vk = self.keys[u], self.keys[v]
+                    if self.directed or uk <= vk:
+                        rows.append((uk, vk))
+            out.extend((uk, vk, self.labels[t]) for uk, vk in sorted(rows))
+        return out
+
+    def active_nodes(self):
+        """(node, label) of every active temporal node, in (time, node) order."""
+        return [(self.keys[v], self.labels[t])
+                for t, ids in enumerate(self.active) for v in sorted(ids)]
+
+    def active_time_labels(self, key):
+        v = self.keys.index(key)
+        return tuple(self.labels[t] for t in self.active_times[v])
+
+
+def reference_build(edges, directed=True):
+    """The set-based ``build_graph``: one pass over the records into sets,
+    then sorted keys and labels, dict adjacency and frozenset activeness.
+    Raises the same error types as the package's builder."""
+    node_set, label_set, kept = set(), set(), set()
+    n_records = 0
+    for e in edges:
+        if isinstance(e, EdgeRecord):
+            src, dst, t = e.src, e.dst, e.time
+        else:
+            src, dst, t = e
+        try:
+            t = operator.index(t)
+        except TypeError:
+            raise KeyTypeError(f"time labels must be integers, got {t!r}") from None
+        n_records += 1
+        node_set.add(src)
+        node_set.add(dst)
+        label_set.add(t)
+        if src == dst:
+            continue
+        if not directed and (dst, src, t) in kept:
+            continue
+        kept.add((src, dst, t))
+    if n_records == 0:
+        raise EmptyGraphError("edge list is empty")
+    try:
+        keys = tuple(sorted(node_set))
+    except TypeError:
+        raise KeyTypeError("node keys must be mutually ordered") from None
+    id_of = {k: i for i, k in enumerate(keys)}
+    labels = tuple(sorted(label_set))
+    tidx_of = {lab: i for i, lab in enumerate(labels)}
+
+    out_lists = [{} for _ in labels]
+    active = [set() for _ in labels]
+    for src, dst, lab in kept:
+        t, u, v = tidx_of[lab], id_of[src], id_of[dst]
+        out_lists[t].setdefault(u, []).append(v)
+        if not directed:
+            out_lists[t].setdefault(v, []).append(u)
+        active[t].update((u, v))
+    out = [{u: tuple(sorted(nbrs)) for u, nbrs in sorted(adj.items())} for adj in out_lists]
+    times_of = [[] for _ in keys]
+    for t, ids in enumerate(active):
+        for v in ids:
+            times_of[v].append(t)
+    return ReferenceGraph(directed, keys, labels, out, [frozenset(a) for a in active],
+                          tuple(tuple(ts) for ts in times_of), len(kept))

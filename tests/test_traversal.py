@@ -9,6 +9,7 @@ import oracles
 from conftest import TOY_CITATIONS
 from evograph import traversal
 from evograph import (
+    EvolvingGraph,
     InactiveRootError,
     TemporalNode,
     bfs,
@@ -223,7 +224,15 @@ def test_temporal_nodes_are_built_only_when_read(monkeypatch):
 
     g = random_graph(random_spec(11, max_nodes=8, max_times=12, density=6.0))
     root = g.active_nodes()[0]
-    monkeypatch.setattr(traversal, "TemporalNode", Counting)
+    decode = EvolvingGraph.temporal_nodes
+
+    def counted_decode(self, aids):
+        tns = decode(self, aids)
+        built.extend([1] * len(tns))
+        return tns
+
+    monkeypatch.setattr(traversal, "TemporalNode", Counting)  # roots
+    monkeypatch.setattr(EvolvingGraph, "temporal_nodes", counted_decode)  # results
     rm = bfs(g, root)
     built.clear()  # the root
     early = rm.earliest_times()
