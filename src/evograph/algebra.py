@@ -293,6 +293,12 @@ def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
     return algebraic_bfs_many(g, [root])[0]
 
 
+def batch_width(g: EvolvingGraph) -> int:
+    """Roots per batch of :func:`algebraic_bfs_many` on ``g``: as many as
+    fit ``_BATCH_CELLS`` cells x roots, and at least one."""
+    return max(_BATCH_CELLS // max(g.num_nodes * g.num_times, 1), 1)
+
+
 def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
     """Traversals from many roots at once, one masked product per level.
 
@@ -300,8 +306,8 @@ def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
     the (time, node) cells.  A level multiplies that matrix by the operator
     (``BlockMatrix._spread``), clears every visited cell with a complement
     mask and writes the level number into an int32 distance matrix; the
-    batch stops when no column found anything new.  A batch holds at most
-    ``_BATCH_CELLS // cells`` roots, and at least one.  Accepts a graph or a
+    batch stops when no column found anything new.  A batch holds
+    ``batch_width(g)`` roots.  Accepts a graph or a
     prebuilt BlockMatrix.  Returns one ReachedMap per root, in order, equal
     to ``bfs`` in entries, entry order and iterations; it has no leaves.
 
@@ -313,7 +319,7 @@ def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
     root_tns = [TemporalNode(*_as_pair(r)) for r in roots]
     n = graph.num_nodes
     starts = [t * n + v for t, v in map(graph.require_active, root_tns)]
-    width = max(_BATCH_CELLS // max(n * graph.num_times, 1), 1)
+    width = batch_width(graph)
     out = []
     for lo in range(0, len(starts), width):
         out.extend(_bfs_batch(op, root_tns[lo:lo + width], starts[lo:lo + width]))

@@ -14,7 +14,10 @@ import json
 import statistics
 import sys
 import time
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
+
+import numpy as np
 
 from . import algebra, citenet, flatten, generator, traversal
 from .core import EvolvingGraph, TemporalNode, _build_columns, build_graph, read_tsv
@@ -76,40 +79,76 @@ def verify_graph(g: EvolvingGraph):
     Returns (number of roots checked, list of mismatch descriptions).  Each
     description names a pair of engines that disagree from one root and the
     first temporal node, in entry order, where their distances differ.
+
+    The engines are compared as int32 distance rows over active ids, -1 for
+    unreached: ``traversal.bfs`` and ``algebra.algebraic_bfs_many`` results
+    are read through ``ReachedMap.encoded`` and the expansion's through
+    ``flatten.static_distances``, so no result is decoded into temporal
+    nodes; only the first differing id of a mismatch is.  Roots go in the
+    algebra's batches, so each batch holds O(batch width x active ids).
     """
     x = flatten.expand(g)
+    op = algebra.BlockMatrix(g)
     roots = g.active_nodes()
-    by_algebra = algebra.algebraic_bfs_many(g, roots)
+    n_active = len(roots)
+    width = algebra.batch_width(g)
     bad = []
-    for root, c in zip(roots, by_algebra):
-        a = traversal.bfs(g, root)
-        b = flatten.static_bfs(x, root)
-        if a.entries == b.entries == c.entries:
-            continue
-        runs = (("traversal", a.entries), ("expansion", b.entries),
-                ("algebra", c.entries))
-        for (name1, e1), (name2, e2) in combinations(runs, 2):
-            if e1 != e2:
-                tn = _first_difference(e1, e2)
-                bad.append(f"root {root}: {name1}/{name2} disagree at {tn}: "
-                           f"distance {e1.get(tn, 'unreached')} vs "
-                           f"{e2.get(tn, 'unreached')}")
-    return len(roots), bad
+    for lo in range(0, n_active, width):
+        batch = roots[lo:lo + width]
+        runs = (
+            ("traversal", *_rows(g, [traversal.bfs(g, root) for root in batch])),
+            # the expansion's entry order is its rows' (distance, id) order
+            ("expansion", [None] * len(batch),
+             flatten.static_distances(x, range(lo, lo + len(batch)))),
+            ("algebra", *_rows(g, algebra.algebraic_bfs_many(op, batch))),
+        )
+        rows = [run[2] for run in runs]
+        agree = ((rows[0] == rows[1]) & (rows[1] == rows[2])).all(axis=1)
+        for i in np.flatnonzero(~agree).tolist():
+            for (name1, o1, d1), (name2, o2, d2) in combinations(runs, 2):
+                r1, r2 = d1[i], d2[i]
+                if not np.array_equal(r1, r2):
+                    a = _first_difference(o1[i], r1, o2[i], r2)
+                    bad.append(f"root {batch[i]}: {name1}/{name2} disagree at "
+                               f"{g.temporal_nodes([a])[0]}: distance "
+                               f"{_shown(r1[a])} vs {_shown(r2[a])}")
+    return n_active, bad
 
 
-def _first_difference(e1: dict, e2: dict):
-    """First temporal node in the entry order of ``e1``, then of ``e2``,
-    whose distance differs between the two maps."""
-    for tn, d in e1.items():
-        if e2.get(tn) != d:
-            return tn
-    return next(tn for tn in e2 if tn not in e1)
+def _rows(g: EvolvingGraph, maps) -> tuple[list, np.ndarray]:
+    """Each map's active ids in entry order, and an int32 matrix of their
+    distances, one row per map and one column per active id, -1 for
+    unreached."""
+    orders, dists = zip(*(rm.encoded(g) for rm in maps))
+    out = np.full((len(maps), g.num_active()), -1, dtype=np.int32)
+    lengths = np.fromiter(map(len, orders), dtype=np.int64, count=len(orders))
+    out[np.repeat(np.arange(len(maps)), lengths),
+        np.fromiter(chain.from_iterable(orders), dtype=np.int64)] = \
+        np.fromiter(chain.from_iterable(dists), dtype=np.int32)
+    return orders, out
+
+
+def _first_difference(order1, row1, order2, row2) -> int:
+    """First active id in the entry order of ``row1``, then of ``row2``,
+    whose distance differs between the two rows.  An order of None is the
+    (distance, active id) order of its row's reached ids."""
+    for order, row in ((order1, row1), (order2, row2)):
+        if order is None:
+            reached = np.flatnonzero(row >= 0)
+            order = reached[np.argsort(row[reached], kind="stable")]
+        order = np.asarray(order, dtype=np.int64)
+        differs = row1[order] != row2[order]
+        if differs.any():
+            return int(order[differs.argmax()])
+    raise ValueError("the rows agree")
+
+
+def _shown(d) -> str:
+    return "unreached" if d < 0 else str(d)
 
 
 def verify_random(count: int, seed: int, max_nodes: int = 30, max_times: int = 5):
     """Seeded random cross-checks; yields (description, roots, mismatches)."""
-    import numpy as np
-
     rng = np.random.Generator(np.random.PCG64(seed))
     for i in range(count):
         n = int(rng.integers(2, max_nodes + 1))
@@ -226,7 +265,7 @@ def _cmd_verify(args):
             print(f"  {msg}")
         failures += len(bad)
     else:
-        for desc, roots, bad in verify_random(args.random, args.seed):
+        for desc, roots, bad in verify_random(args.random or 20, args.seed or 0):
             status = "PASS" if not bad else "FAIL"
             print(f"{status} {desc}: {roots} roots checked")
             for msg in bad:
@@ -236,6 +275,14 @@ def _cmd_verify(args):
         print(f"FAIL: {failures} mismatches", file=sys.stderr)
         return 1
     return 0
+
+
+def _check_verify_args(parser, args):
+    """Refuse, as usage errors, the flags ``verify`` would otherwise ignore."""
+    if args.file is None and args.undirected:
+        parser.error("--undirected needs a FILE: random graphs pick their own direction")
+    if args.file is not None and (args.random is not None or args.seed is not None):
+        parser.error("--random and --seed make random graphs, so they take no FILE")
 
 
 def _cmd_demo_naive_sum(args):
@@ -357,11 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="cross-check the three traversal implementations")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--undirected", action="store_true")
-    p.add_argument("--random", type=_at_least(1), default=20, metavar="N",
-                   help="number of random graphs when no file is given")
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--undirected", action="store_true",
+                   help="treat the file's edges as undirected")
+    p.add_argument("--random", type=_at_least(1), default=None, metavar="N",
+                   help="number of random graphs when no file is given (default 20)")
+    p.add_argument("--seed", type=_at_least(0), default=None,
+                   help="seed of the random graphs (default 0)")
+    p.set_defaults(func=_cmd_verify, check=partial(_check_verify_args, p))
 
     p = sub.add_parser("demo-naive-sum",
                        help="show where the matrix-product sum undercounts")
@@ -403,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "check" in args:
+        args.check(args)
     try:
         return args.func(args)
     except (EvographError, OSError) as exc:

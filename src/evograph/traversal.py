@@ -29,7 +29,8 @@ class ReachedMap:
     equality.
     """
 
-    __slots__ = ("root", "iterations", "_entries", "_leaves", "_ids", "_leaf_ids")
+    __slots__ = ("root", "iterations", "_entries", "_leaves", "_ids", "_codes",
+                 "_leaf_ids")
 
     def __init__(self, root, entries=None, iterations=0):
         self.root = root
@@ -37,6 +38,7 @@ class ReachedMap:
         self._entries = entries
         self._leaves = frozenset()
         self._ids = None
+        self._codes = None
         self._leaf_ids = None
 
     @classmethod
@@ -44,10 +46,22 @@ class ReachedMap:
         """Deferred form: parallel (active id, distance) lists plus leaf
         active ids, each decoded on its first read."""
         rm = cls(root, iterations=iterations)
-        rm._ids = (g, order, dists)
+        rm._ids = rm._codes = (g, order, dists)
         rm._leaves = None
         rm._leaf_ids = (g, leaf_ids)
         return rm
+
+    def encoded(self, g: EvolvingGraph) -> tuple[list[int], list[int]]:
+        """(active ids of ``g``, distances) of the entries, in entry order.
+
+        A map made by a traversal of ``g`` returns its own lists and decodes
+        nothing; a map built from ``entries`` encodes each temporal node
+        through ``g.active_id``.
+        """
+        if self._codes is not None and self._codes[0] is g:
+            return self._codes[1], self._codes[2]
+        entries = self.entries
+        return list(map(g.active_id, entries)), list(entries.values())
 
     @property
     def entries(self) -> dict[TemporalNode, int]:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from evograph import algebra, traversal
+from evograph import algebra, flatten, traversal
 from evograph.algebra import BlockMatrix
 from evograph.cli import demo_graph, geometric_sizes, main, verify_graph
-from evograph.generator import random_graph
+from evograph.core import EvolvingGraph, TemporalNode
+from evograph.generator import GenSpec, random_graph
 from evograph.traversal import ReachedMap
 from tests_util import random_spec
 
@@ -134,6 +136,71 @@ def test_verify_names_a_shifted_distance(monkeypatch):
     assert not any("expansion/algebra" in msg for msg in bad)
 
 
+def test_verify_names_a_shifted_expansion_distance(monkeypatch):
+    real = flatten.static_distances
+
+    def shifting(x, roots):
+        dist = real(x, roots).copy()
+        dist[0, dist[0].argmax()] += 1  # the farthest node of the first root
+        return dist
+
+    monkeypatch.setattr(flatten, "static_distances", shifting)
+    assert verify_graph(demo_graph()) == (6, [
+        "root (1@1): traversal/expansion disagree at (3@3): distance 3 vs 4",
+        "root (1@1): expansion/algebra disagree at (3@3): distance 4 vs 3",
+    ])
+
+
+def test_verify_decodes_only_the_roots(monkeypatch):
+    decoded, built = [], []
+    decode, init = EvolvingGraph.temporal_nodes, TemporalNode.__init__
+
+    def counted_decode(self, aids):
+        tns = decode(self, aids)
+        decoded.append(len(tns))
+        return tns
+
+    def counted_init(self, node, time):
+        built.append(1)
+        init(self, node, time)
+
+    g = random_graph(GenSpec(12, 4, 30, seed=7, directed=False))
+    n_active = g.num_active()
+    reached = sum(len(traversal.bfs(g, r)) for r in g.active_nodes())
+    monkeypatch.setattr(EvolvingGraph, "temporal_nodes", counted_decode)
+    monkeypatch.setattr(TemporalNode, "__init__", counted_init)
+
+    assert verify_graph(g) == (n_active, [])
+    # one decode, of the roots; each engine then builds its own root
+    assert decoded == [n_active]
+    assert len(built) <= 3 * n_active < reached
+
+    decoded.clear()
+    built.clear()
+    x = flatten.expand(g)
+    assert decoded == [] and built == []
+    assert len(x.static_edges) + len(x.causal_edges) == x.num_edges
+    assert decoded == [n_active] and len(built) == n_active
+
+
+def test_verify_memory_is_bounded_by_the_batch(monkeypatch):
+    # small components keep each root's walks short; the matrices of a batch
+    # are as wide as the graph all the same
+    g = random_graph(GenSpec(3000, 2, 1800, seed=3, directed=False))
+    n_active = g.num_active()
+    assert n_active >= 2000
+    monkeypatch.setattr(algebra, "_BATCH_CELLS", 8 * g.num_nodes * g.num_times)
+    tracemalloc.start()
+    try:
+        result = verify_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (n_active, [])
+    square = 4 * n_active * n_active  # one int32 matrix over active ids squared
+    assert peak < square / 8, (peak, square)
+
+
 @pytest.mark.parametrize("roots_per_batch", [None, 4])
 def test_verify_runs_one_product_per_level_per_batch(monkeypatch, roots_per_batch):
     calls = {"_spread": 0, "_matvec_blocks": 0}
@@ -252,6 +319,11 @@ def test_usage_errors_exit_2(demo_file):
         ["verify", "--random", "-1"],
         ["verify", "--random", "0"],
         ["verify", "--random", "1", "--seed", "-5"],
+        ["verify", "--undirected"],
+        ["verify", "--random", "3", "--undirected"],
+        ["verify", demo_file, "--random", "3"],
+        ["verify", demo_file, "--seed", "1"],
+        ["verify", demo_file, "--random", "3", "--seed", "1"],
         ["generate", "--nodes", "3", "--times", "2", "--edges", "2", "--seed", "-1"],
         ["bench", "--seed", "-1"],
     ):

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from evograph import InactiveRootError, TemporalNode, bfs, build_graph
-from evograph.flatten import expand, static_bfs, write_edge_list
+from evograph.flatten import expand, static_bfs, static_distances, write_edge_list
 from evograph.generator import random_graph
 from tests_util import random_spec
 
@@ -76,6 +78,35 @@ def test_static_bfs_equals_traversal_everywhere():
         x = expand(g)
         for root in g.active_nodes():
             assert static_bfs(x, root).entries == bfs(g, root).entries
+
+
+def test_static_distances_match_scipy_shortest_path():
+    # scipy's own unweighted search over the same CSR, from every root
+    undirected = 0
+    for i in range(300):
+        g = random_graph(random_spec(1300 + i))
+        x = expand(g)
+        roots = np.arange(x.num_nodes)
+        want = shortest_path(x.matrix, unweighted=True, indices=roots)
+        got = static_distances(x, roots)
+        assert got.shape == want.shape
+        assert np.array_equal(got, np.where(np.isinf(want), -1, want))
+        undirected += not g.directed
+    assert undirected > 100
+
+
+def test_static_distances_batches_agree(demo):
+    x = expand(demo)
+    every = static_distances(x, range(x.num_nodes))
+    for a in range(x.num_nodes):
+        assert np.array_equal(static_distances(x, [a]), every[a:a + 1])
+
+
+def test_successors_are_the_forward_neighbors():
+    for i in range(15):
+        g = random_graph(random_spec(1700 + i))
+        x = expand(g)
+        assert x.successors == {tn: tuple(g.forward_neighbors(tn)) for tn in x.nodes}
 
 
 def test_write_edge_list_golden(demo):
