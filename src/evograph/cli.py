@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from functools import partial
@@ -178,28 +177,32 @@ def run_bench(n_nodes, n_times, sizes, seed=0, reps=5):
     """Time a full traversal at each edge count of one growth family.
 
     The graph family shares nodes and time stamps; each step grows the
-    previous graph.  Timing is the median of ``reps`` runs after one warm-up,
-    on the monotonic clock.  Returns rows of (edges, seconds, iterations).
+    previous graph.  After one warm-up traversal of every graph, each of
+    ``reps`` rounds times one traversal of every graph in turn, so a drift
+    in machine speed during the run reaches all sizes alike.  A size's time
+    is the fastest of its rounds, on the monotonic clock, since other work
+    on the machine only ever adds time.  Returns rows of (edges, seconds,
+    iterations).
     """
     g = generator.random_graph(
         generator.GenSpec(n_nodes, n_times, sizes[0], seed=seed)
     )
-    rows = []
+    graphs = []
     for i, target in enumerate(sizes):
         if target < g.num_static_edges:
             raise EvographError("bench sizes must be nondecreasing")
         if target > g.num_static_edges:
             g = generator.grow(g, target - g.num_static_edges, seed=seed + 1000 + i)
-        root = g.active_nodes()[0]
-        traversal.bfs(g, root)  # warm-up, discarded
-        samples = []
-        rm = None
-        for _ in range(reps):
+        graphs.append((g, g.active_nodes()[0]))
+    iterations = [traversal.bfs(g, root).iterations for g, root in graphs]  # warm-up
+    best = [float("inf")] * len(graphs)
+    for _ in range(reps):
+        for i, (g, root) in enumerate(graphs):
             t0 = time.perf_counter()
-            rm = traversal.bfs(g, root)
-            samples.append(time.perf_counter() - t0)
-        rows.append((g.num_static_edges, statistics.median(samples), rm.iterations))
-    return rows
+            traversal.bfs(g, root)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return [(g.num_static_edges, secs, its)
+            for (g, _), secs, its in zip(graphs, best, iterations)]
 
 
 # -- built-in demo graph ----------------------------------------------------

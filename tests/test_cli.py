@@ -7,7 +7,7 @@ import pytest
 
 from evograph import algebra, flatten, traversal
 from evograph.algebra import BlockMatrix
-from evograph.cli import demo_graph, geometric_sizes, main, verify_graph
+from evograph.cli import demo_graph, geometric_sizes, main, run_bench, verify_graph
 from evograph.core import EvolvingGraph, TemporalNode
 from evograph.generator import GenSpec, random_graph
 from evograph.traversal import ReachedMap
@@ -271,6 +271,21 @@ def test_bench_csv(capsys):
     assert [int(r[0]) for r in rows] == [80, 160, 320]
     for _, secs, iters in rows:
         assert float(secs) >= 0.0 and int(iters) >= 1
+
+
+def test_run_bench_times_the_sizes_in_turn(monkeypatch):
+    seen = []
+    real_bfs = traversal.bfs
+
+    def counting_bfs(g, root):
+        seen.append(g.num_static_edges)
+        return real_bfs(g, root)
+
+    monkeypatch.setattr(traversal, "bfs", counting_bfs)
+    rows = run_bench(30, 2, [40, 60, 80], seed=2, reps=3)
+    assert [r[0] for r in rows] == [40, 60, 80]
+    # one warm-up round, then three timed rounds over every size
+    assert seen == [40, 60, 80] * 4
 
 
 def test_bench_to_file(tmp_path):
