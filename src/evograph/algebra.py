@@ -25,8 +25,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import (
@@ -59,6 +57,10 @@ class SliceMatrix:
 
 
 def slice_matrices(g: EvolvingGraph) -> list[SliceMatrix]:
+    # scipy is imported where it is used, so importing evograph (and every
+    # query that needs no matrix) does not load scipy.sparse
+    import scipy.sparse as sp
+
     lay = g.layout
     n = g.num_nodes
     src, dst = lay.steps()
@@ -187,6 +189,8 @@ class BlockMatrix:
     def _slices_t(self) -> sp.csr_matrix:
         """The transposed slices on one block diagonal over the (time, node)
         cells, int32 to match the 0/1 frontier it multiplies."""
+        import scipy.sparse as sp
+
         return sp.block_diag(self._t_csr, format="csr", dtype=np.int32)
 
     @cached_property
@@ -226,6 +230,8 @@ class BlockMatrix:
         order, then the time jumps in (node, earlier, later) order.  Rows
         and columns are active ids, or (time, node) cells of the full
         space when ``restricted`` is False."""
+        import scipy.sparse as sp
+
         g = self.graph
         lay = g.layout
         steps, jumps = lay.steps(), lay.jumps()
@@ -424,6 +430,8 @@ def dense_reference_matvec(g: EvolvingGraph, bv: BlockVector) -> BlockVector:
 
 def write_matrix_market(g, fileobj, restricted: bool = True) -> None:
     """Export the temporal adjacency in Matrix Market coordinate format."""
+    import scipy.io
+
     op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
     scipy.io.mmwrite(fileobj, op.to_coo(restricted))
 

@@ -4,7 +4,14 @@ Input rows are ``citing<TAB>cited<TAB>year``.  Edges are stored in that
 citing-to-cited direction, but influence travels the other way: the cited
 author reaches everyone who (transitively, never moving back in time) cites
 them.  Influence queries therefore traverse the edge-transposed graph, while
-backward queries keep the citation arrows and mirror the time axis.
+backward queries keep the citation arrows and mirror the time axis.  Both
+derived graphs are made once per loaded graph (``EvolvingGraph`` keeps them).
+
+A community report runs one BFS, backward from the queried author, and then
+one multi-source reachability pass forward from the leaves of that walk,
+with at most two source labels per temporal node (see ``_reached_authors``).
+Query results are read from active ids, so no ``TemporalNode`` is built per
+reached node.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .core import EvolvingGraph, TemporalNode, build_graph, read_tsv
+from .core import EvolvingGraph, build_graph, read_tsv
 from .errors import EmptyGraphError
 from .traversal import ReachedMap, bfs
 
@@ -118,18 +125,25 @@ def load_citations(path, name_policy: str = "exact") -> tuple[EvolvingGraph, Ing
     return g, summary
 
 
-def _others(rm: ReachedMap, author, sign: int = 1) -> dict:
-    """(author, sign * year) -> distance for every temporal node ``rm``
-    reached, without ``author``'s own."""
-    return {(tn.node, sign * tn.time): d
-            for tn, d in rm.entries.items() if tn.node != author}
+def _others(g: EvolvingGraph, rm: ReachedMap, author, sign: int = 1) -> dict:
+    """(author, sign * year) -> distance for every temporal node that the
+    traversal ``rm`` of ``g`` reached, without ``author``'s own; read from
+    its active ids, in entry order."""
+    keys, labels, lay = g.nodes, g.time_labels, g.layout_lists
+    node, time = lay.node, lay.time
+    own = g.node_id(author)
+    ids, dists = rm.encoded(g)
+    return {(keys[node[a]], sign * labels[time[a]]): d
+            for a, d in zip(ids, dists) if node[a] != own}
 
 
-def _backward(g: EvolvingGraph, author, year: int) -> ReachedMap:
+def _backward(g: EvolvingGraph, author, year: int) -> tuple[EvolvingGraph, ReachedMap]:
     """The BFS backward in time from ``(author, year)``: along the citation
-    arrows on the time mirror of ``g``, where years are negated."""
+    arrows on the time mirror of ``g``, where years are negated.  Returns the
+    mirror and the walk."""
+    mirror = g.time_mirrored()  # first, so that g's layout_lists share its int table
     g.require_active((author, year))
-    return bfs(g.time_mirrored(), TemporalNode(author, -year))
+    return mirror, bfs(mirror, (author, -year))
 
 
 def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -138,9 +152,10 @@ def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Runs the traversal on the edge-transposed graph (influence flows from
     cited to citing) and drops the root author's own temporal nodes.
     """
+    influence = g.transposed()  # first, so that g's layout_lists share its int table
     g.require_active((author, year))
-    rm = bfs(g.transposed(), TemporalNode(author, year))
-    return InfluenceReport(author, year, FORWARD, _others(rm, author))
+    rm = bfs(influence, (author, year))
+    return InfluenceReport(author, year, FORWARD, _others(influence, rm, author))
 
 
 def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
@@ -149,8 +164,8 @@ def influencers_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Computed as a BFS along the citation arrows on the time-mirrored graph;
     reported years are mapped back to the original labels.
     """
-    return InfluenceReport(author, year, BACKWARD,
-                           _others(_backward(g, author, year), author, -1))
+    mirror, back = _backward(g, author, year)
+    return InfluenceReport(author, year, BACKWARD, _others(mirror, back, author, -1))
 
 
 def community(g: EvolvingGraph, author, year: int) -> frozenset:
@@ -158,23 +173,74 @@ def community(g: EvolvingGraph, author, year: int) -> frozenset:
 
     Walk backward to everyone who influenced ``author``, take the leaves of
     that traversal tree (the points where the walk stopped discovering
-    anything new), and pool the forward influence of each leaf.  An author
-    with no influencers is their own leaf, so the result is their own
-    influence set.
+    anything new), and pool the forward influence of each leaf, leaving out
+    each leaf's own author from what that leaf reaches.  An author with no
+    influencers is their own leaf, so the result is their own influence set.
+    A query costs one backward BFS and one forward pass, whatever the number
+    of leaves; see :func:`community_report`.
     """
     return community_report(g, author, year).community
 
 
 def community_report(g: EvolvingGraph, author, year: int) -> InfluenceReport:
-    """Backward report for ``author`` with the community attached; both come
-    from one backward walk.  Each leaf's forward walk only yields its authors,
-    read from the walk's encoded ids."""
-    back = _backward(g, author, year)
-    report = InfluenceReport(author, year, BACKWARD, _others(back, author, -1))
-    influence = g.transposed()
-    members: set = set()
-    for leaf in back.leaves:
-        reached = bfs(influence, TemporalNode(leaf.node, -leaf.time)).earliest_times()
-        members.update(a for a in reached if a != leaf.node)
-    report.community = frozenset(members)
+    """Backward report for ``author`` with the community attached.
+
+    Both come from one backward BFS.  The leaves' forward influence is then
+    pooled in one pass over the edge-transposed graph, started from each leaf
+    author's earliest leaf: a time jump makes reach monotone in time, so that
+    leaf reaches all that the author's later leaves reach.  The pass costs
+    O(reached active ids + edges scanned), independent of the leaf count.
+    """
+    mirror, back = _backward(g, author, year)
+    report = InfluenceReport(author, year, BACKWARD, _others(mirror, back, author, -1))
+    # a mirror id's node holds the same active stamps as in g, in reverse
+    # time order, so its rank among them gives its active id in g
+    m, lay = mirror.layout_lists, g.layout_lists
+    sources: dict = {}  # leaf author's node id -> active id of their earliest leaf
+    for a in back.leaf_ids(mirror):
+        v = m.node[a]
+        b = lay.node_aids[lay.node_ptr[v + 1] - 1 - (m.pos[a] - m.node_ptr[v])]
+        if b < sources.get(v, b + 1):  # g's active ids ascend in time
+            sources[v] = b
+    members = _reached_authors(g.transposed(), {b: v for v, b in sources.items()})
+    report.community = frozenset(g.nodes[v] for v in members)
     return report
+
+
+_TWO = -1  # the label of an active id that two or more sources reach
+
+
+def _reached_authors(g: EvolvingGraph, sources: dict) -> set:
+    """Node ids reached in ``g`` from a source of a different node.
+
+    ``sources`` maps active ids to node ids: each source is labelled with its
+    node.  A reached active id keeps its one label, or ``_TWO`` once a second,
+    different label arrives, and it is expanded again only when its label
+    changes, so at most twice.  Reachability needs no distances, so a time
+    jump is a link to the node's next active stamp.  An active id reachable
+    from source X holds X or ``_TWO``, so node Z is reached from a source of
+    another node exactly when one of Z's active ids holds a label other
+    than Z.  Costs O(reached active ids + edges scanned) for any number of
+    sources.
+    """
+    lay = g.layout_lists
+    indptr, indices = lay.indptr, lay.indices
+    node, node_ptr, node_aids, pos = lay.node, lay.node_ptr, lay.node_aids, lay.pos
+    label = dict(sources)
+    todo = list(sources)
+    while todo:
+        a = todo.pop()
+        x = label[a]
+        out = indices[indptr[a]:indptr[a + 1]]
+        p = pos[a] + 1
+        if p < node_ptr[node[a] + 1]:
+            out += (node_aids[p],)
+        for b in out:
+            y = label.get(b)
+            if y is None:
+                label[b] = x
+                todo.append(b)
+            elif y != x and y != _TWO:
+                label[b] = _TWO
+                todo.append(b)
+    return {node[a] for a, x in label.items() if x != node[a]}

@@ -13,8 +13,8 @@ active temporal nodes only, as integer arrays (:class:`Layout`):
 
 ``build_graph`` codes its input into these arrays with sorts and counts.  The
 derived graphs (``transposed``, ``time_mirrored``) are array passes over the
-layout.  Graphs
-are immutable after construction and safe to share between threads.
+layout, made on first use and kept by the graph.  Graphs are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -134,19 +134,26 @@ def _offsets(ids: np.ndarray, size: int) -> np.ndarray:
     return ptr
 
 
+def _csr(a: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) over ``a`` active ids of the (source, target) steps,
+    given in any order and possibly repeated."""
+    steps = np.sort(src * a + dst)
+    steps = steps[np.diff(steps, prepend=-1) != 0]  # one per distinct step
+    src, indices = np.divmod(steps, a)
+    return _offsets(src, a), indices
+
+
 def _layout(n_nodes: int, n_times: int, time: np.ndarray, node: np.ndarray,
             src: np.ndarray, dst: np.ndarray) -> Layout:
     """Layout from the active temporal nodes in (time, node) order and the
     (source, target) active ids of every same-slice step, in any order and
     possibly repeated."""
     a = len(node)
-    steps = np.sort(src * a + dst)
-    steps = steps[np.diff(steps, prepend=-1) != 0]  # one per distinct step
-    src, indices = np.divmod(steps, a)
+    indptr, indices = _csr(a, src, dst)
     node_aids = np.argsort(node, kind="stable")  # ties keep ascending time
     pos = np.empty(a, dtype=np.int64)
     pos[node_aids] = np.arange(a)
-    layout = Layout(_offsets(time, n_times), node, time, _offsets(src, a), indices,
+    layout = Layout(_offsets(time, n_times), node, time, indptr, indices,
                     _offsets(node, n_nodes), node_aids, pos)
     for arr in layout:
         arr.flags.writeable = False  # graphs are immutable
@@ -170,6 +177,7 @@ class EvolvingGraph:
         "_layout",    # Layout of int64 arrays over the active temporal nodes
         "_lists",     # the same Layout as tuples of ints, made on first use
         "_n_edges",   # number of stored (deduplicated) static edges
+        "_memo",      # derived graphs, and layout_lists' int table; made on first use
     )
 
     def __init__(self, *, directed, keys, labels, layout, n_edges, id_of=None):
@@ -181,6 +189,7 @@ class EvolvingGraph:
         self._layout = layout
         self._lists = None
         self._n_edges = n_edges
+        self._memo = {}
 
     # -- basic shape ----------------------------------------------------
 
@@ -243,9 +252,27 @@ class EvolvingGraph:
 
     @property
     def layout_lists(self) -> Layout:
-        """``layout`` as tuples of Python ints, made once per graph."""
+        """``layout`` as tuples of Python ints, made once per graph.
+
+        A graph with derived graphs shares with them one table of the ints up
+        to the largest value a field can hold (they share every size), and
+        its tuples point into that table: kept side by side, the family's
+        tuples then take about a quarter of the memory of one int object per
+        entry.  A graph without derived graphs makes one int per entry,
+        which is quicker to make.
+        """
         if self._lists is None:
-            self._lists = Layout._make(tuple(a.tolist()) for a in self._layout)
+            held = self._memo.get("ints")
+            if held is None:
+                self._lists = Layout._make(tuple(a.tolist()) for a in self._layout)
+            else:
+                lay = self._layout
+                if held[0] is None:
+                    # no field holds more than the steps, the active ids, a
+                    # node id or a time index
+                    top = max(len(lay.indices), len(lay.node), self.num_nodes, self.num_times)
+                    held[0] = np.arange(top + 1).astype(object)
+                self._lists = Layout._make(tuple(held[0][a].tolist()) for a in lay)
         return self._lists
 
     def temporal_nodes(self, aids) -> list[TemporalNode]:
@@ -386,42 +413,58 @@ class EvolvingGraph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def _derived(self, labels, time, node, src, dst) -> "EvolvingGraph":
-        return EvolvingGraph(
+    def _derived(self, labels, layout: Layout) -> "EvolvingGraph":
+        g = EvolvingGraph(
             directed=self.directed,
             keys=self._keys,
             labels=labels,
-            layout=_layout(self.num_nodes, len(labels), time, node, src, dst),
+            layout=layout,
             n_edges=self._n_edges,
             id_of=self._id_of,
         )
+        g._memo["ints"] = self._memo.setdefault("ints", [None])  # see layout_lists
+        return g
 
     def transposed(self) -> "EvolvingGraph":
         """Same slices with every edge direction flipped.
 
         Activeness does not depend on edge orientation, so the active ids
-        stay as they are.  Undirected graphs are returned unchanged.
+        and every array but the step CSR are shared with this graph.
+        Undirected graphs are returned unchanged.  The result is made on the
+        first call and the same object is returned after that.
         """
         if not self.directed:
             return self
-        lay = self._layout
-        src, dst = lay.steps()
-        return self._derived(self._labels, lay.time, lay.node, dst, src)
+        g = self._memo.get("transposed")
+        if g is None:
+            lay = self._layout
+            src, dst = lay.steps()
+            indptr, indices = _csr(len(lay.node), dst, src)
+            indptr.flags.writeable = indices.flags.writeable = False
+            g = self._memo["transposed"] = self._derived(
+                self._labels, lay._replace(indptr=indptr, indices=indices))
+        return g
 
     def time_mirrored(self) -> "EvolvingGraph":
         """Reverse the time axis (labels are negated), keeping every edge.
 
         Slice i is this graph's slice T-1-i.  A temporal path here walks this
-        graph's edges backward in time.
+        graph's edges backward in time.  Like ``transposed``, the result is
+        made once per graph.
         """
-        lay = self._layout
-        time = self.num_times - 1 - lay.time
-        order = np.argsort(time * self.num_nodes + lay.node)  # old ids, new order
-        new_id = np.empty_like(order)
-        new_id[order] = np.arange(len(order))
-        src, dst = lay.steps()
-        return self._derived(tuple(-lab for lab in reversed(self._labels)),
-                             time[order], lay.node[order], new_id[src], new_id[dst])
+        g = self._memo.get("time_mirrored")
+        if g is None:
+            lay = self._layout
+            time = self.num_times - 1 - lay.time
+            order = np.argsort(time * self.num_nodes + lay.node)  # old ids, new order
+            new_id = np.empty_like(order)
+            new_id[order] = np.arange(len(order))
+            src, dst = lay.steps()
+            g = self._memo["time_mirrored"] = self._derived(
+                tuple(-lab for lab in reversed(self._labels)),
+                _layout(self.num_nodes, self.num_times, time[order], lay.node[order],
+                        new_id[src], new_id[dst]))
+        return g
 
     def time_reversed(self) -> "EvolvingGraph":
         """Reverse the time axis (labels are negated) and flip edges.
@@ -478,16 +521,25 @@ def _build_columns(src: Sequence, dst: Sequence, times: Sequence[int],
     labels = tuple(sorted(set(times)))
     id_of = {k: i for i, k in enumerate(keys)}
     tidx_of = {lab: i for i, lab in enumerate(labels)}
-    m, n = len(times), len(keys)
+    m = len(times)
     u = np.fromiter(map(id_of.__getitem__, src), dtype=np.int64, count=m)
     v = np.fromiter(map(id_of.__getitem__, dst), dtype=np.int64, count=m)
     t = np.fromiter(map(tidx_of.__getitem__, times), dtype=np.int64, count=m)
+    return _build_ids(keys, labels, u, v, t, directed, id_of)
 
+
+def _build_ids(keys: tuple, labels: tuple, u: np.ndarray, v: np.ndarray,
+               t: np.ndarray, directed: bool, id_of=None) -> EvolvingGraph:
+    """The graph over sorted ``keys`` and ``labels`` whose records are coded
+    as int64 arrays: source id ``u``, target id ``v`` and time index ``t``
+    (the positions in ``keys`` and ``labels``).  Every key and label is kept,
+    even one no record uses."""
+    n = len(keys)
     step = u != v  # self-loops never make a node active
     u, v, t = u[step], v[step], t[step]
     # active temporal nodes are the distinct endpoint cells time * n + node,
     # so their sorted order is the (time, node) order of the active ids; the
-    # int64 codes here stay below (2 * records) ** 2, far from overflow
+    # int64 codes here stay below len(labels) * len(keys)
     cells, aid = np.unique(np.concatenate((t * n + u, t * n + v)), return_inverse=True)
     head, tail = np.split(aid, 2)
     if not directed:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .traversal import ReachedMap
@@ -83,6 +82,8 @@ def expand(g: EvolvingGraph) -> StaticExpansion:
     Its same-time edges are the layout's steps and its time jumps the
     layout's jumps.
     """
+    import scipy.sparse as sp  # on first use, so importing evograph does not load it
+
     lay = g.layout
     steps, jumps = lay.steps(), lay.jumps()
     src = np.concatenate((steps[0], jumps[0]))

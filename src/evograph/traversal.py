@@ -78,8 +78,18 @@ class ReachedMap:
             self.entries  # a first read of either field decodes the entries
             g, leaf_ids = self._leaf_ids
             self._leaves = frozenset(g.temporal_nodes(leaf_ids))
-            self._leaf_ids = None
         return self._leaves
+
+    def leaf_ids(self, g: EvolvingGraph) -> list[int]:
+        """Active ids of ``g`` of the leaves.
+
+        A map made by a traversal of ``g`` returns its own list, in the order
+        the traversal found them, and decodes nothing; any other map encodes
+        ``leaves`` through ``g.active_id``, in ascending id order.
+        """
+        if self._leaf_ids is not None and self._leaf_ids[0] is g:
+            return self._leaf_ids[1]
+        return sorted(map(g.active_id, self.leaves))
 
     def __eq__(self, other):
         if not isinstance(other, ReachedMap):

@@ -212,9 +212,11 @@ def test_community_transposes_once_per_query(monkeypatch):
 
 
 def test_community_report_walks_back_once(monkeypatch):
-    # one transposition and one time mirror per report and no time reversal,
-    # one backward BFS, and one forward BFS per leaf of the backward walk
-    calls = {"transposed": 0, "time_reversed": 0, "time_mirrored": 0, "bfs": 0}
+    # one backward BFS per report and no forward BFS at all, one call each of
+    # transposed and time_mirrored per report and no time reversal, and one
+    # array pass per derived graph however many reports ask for it
+    calls = {"transposed": 0, "time_reversed": 0, "time_mirrored": 0, "bfs": 0,
+             "_derived": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -222,17 +224,49 @@ def test_community_report_walks_back_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    g = toy_graph()
-    leaves = bfs(g.transposed().time_reversed(), ("E", -3)).leaves
+    leaves = bfs(toy_graph().time_mirrored(), ("E", -3)).leaves
     assert len(leaves) > 1
-    for name in ("transposed", "time_reversed", "time_mirrored"):
+    g = toy_graph()
+    for name in ("transposed", "time_reversed", "time_mirrored", "_derived"):
         monkeypatch.setattr(EvolvingGraph, name,
                             counting(name, getattr(EvolvingGraph, name)))
     monkeypatch.setattr(citenet, "bfs", counting("bfs", citenet.bfs))
     rep = community_report(g, "E", 3)
     assert rep.community == {"B", "C", "D", "E", "F"}
     assert calls == {"transposed": 1, "time_reversed": 0, "time_mirrored": 1,
-                     "bfs": 1 + len(leaves)}
+                     "bfs": 1, "_derived": 2}
+    assert community_report(g, "F", 2).community == {"C", "D", "E"}
+    assert calls == {"transposed": 2, "time_reversed": 0, "time_mirrored": 2,
+                     "bfs": 2, "_derived": 2}
+
+
+def test_community_pass_expands_each_id_at_most_twice(monkeypatch):
+    # H cites k authors in year 1 and R cites H in year 2, so the backward
+    # walk from (R, 2) ends in the k leaves (a_i, 1), and every leaf reaches
+    # H and R.  Each expansion, in bfs and in the community pass, reads its
+    # active id's position once to find its time jumps; count those reads.
+    k = 6
+    g = build_graph([("H", f"a{i}", 1) for i in range(k)] + [("R", "H", 2)])
+    assert len(bfs(g.time_mirrored(), ("R", -2)).leaves) == k
+    reads: dict = {}
+    wrapped: dict = {}
+
+    class CountingPos(tuple):
+        def __getitem__(self, a):
+            reads[id(self), a] = reads.get((id(self), a), 0) + 1
+            return tuple.__getitem__(self, a)
+
+    plain = EvolvingGraph.layout_lists
+
+    def counted(self):
+        if id(self) not in wrapped:
+            lists = plain.fget(self)
+            wrapped[id(self)] = (self, lists._replace(pos=CountingPos(lists.pos)))
+        return wrapped[id(self)][1]
+
+    monkeypatch.setattr(EvolvingGraph, "layout_lists", property(counted))
+    assert community_report(g, "R", 2).community == {"H", "R"}
+    assert max(reads.values()) == 2  # H and R gain a second label once
 
 
 def test_community_report():
@@ -261,7 +295,7 @@ def random_citations(seed):
     n = int(rng.integers(3, 9))
     years = int(rng.integers(1, 5))
     authors = [f"a{i}" for i in range(n)]
-    m = int(rng.integers(1, 3 * n))
+    m = min(int(rng.integers(1, 3 * n)), n * (n - 1) * years)  # distinct rows exist
     rows = set()
     while len(rows) < m:
         i, j = rng.integers(0, n, size=2)
@@ -286,6 +320,34 @@ def test_random_networks_match_oracles():
             assert community(g, a, y) == oracles.community_authors(rows, a, y), (
                 seed, a, y,
             )
+
+
+def mutual_leaf_authors(rows, author, year) -> bool:
+    """True when two leaf authors of the backward walk from (author, year)
+    reach each other."""
+    back = oracles.expansion_adjacency([(u, v, -t) for u, v, t in rows], True)
+    _, leaves = oracles.bfs_with_leaves(back, (author, -year))
+    earliest: dict = {}
+    for a, y in leaves:
+        earliest[a] = min(earliest.get(a, -y), -y)
+    reach = {a: {b for b, _ in oracles.influence_authors(rows, a, y)}
+             for a, y in earliest.items()}
+    return any(b in reach[a] and a in reach[b] for a in reach for b in reach if a != b)
+
+
+def test_community_matches_per_leaf_walks():
+    # one forward pass from each leaf author's earliest leaf, with at most two
+    # labels per node, against one walk per leaf, from every active root
+    mutual = 0
+    for seed in range(300):
+        rows = random_citations(1000 + seed)
+        g = build_graph(rows)
+        for tn in g.active_nodes():
+            a, y = tn.node, tn.time
+            assert community(g, a, y) == oracles.community_authors(rows, a, y), (
+                seed, a, y)
+            mutual += mutual_leaf_authors(rows, a, y)
+    assert mutual >= 500  # of 2491 roots, 980 have leaf authors that reach each other
 
 
 def test_influence_and_influencers_are_dual():

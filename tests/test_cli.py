@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +375,20 @@ def test_geometric_sizes():
     sizes = geometric_sizes(10**5, 10**6, 5)
     assert sizes[0] == 10**5 and sizes[-1] == 10**6
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_bfs_and_community_do_not_load_scipy_sparse(tmp_path):
+    # the matrix engines import scipy.sparse on first use; a fresh process
+    # that runs bfs and a community report never loads it
+    path = tmp_path / "g.tsv"
+    path.write_text(DEMO_TSV, encoding="utf-8")
+    code = (
+        "import sys, evograph.cli as cli\n"
+        f"assert cli.main(['bfs', {str(path)!r}, '--root', '1@1']) == 0\n"
+        f"assert cli.main(['community', {str(path)!r}, '--author', '1', '--year', '1']) == 0\n"
+        "sys.exit('scipy.sparse' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -233,6 +233,17 @@ def test_time_mirrored_keeps_edges_and_negates_times():
         assert m.time_mirrored() == g, i
 
 
+def test_derived_graphs_are_made_once():
+    for i in range(10):
+        g = random_graph(random_spec(970 + i))
+        assert g.transposed() is g.transposed(), i
+        assert g.time_mirrored() is g.time_mirrored(), i
+        assert g.time_reversed() is g.time_reversed(), i
+        assert g.time_reversed().time_reversed() == g, i
+        if not g.directed:
+            assert g.transposed() is g, i
+
+
 def test_graph_equality():
     a = build_graph([(1, 2, 1)])
     b = build_graph([(1, 2, 1)])

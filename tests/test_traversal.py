@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import TOY_CITATIONS
+from conftest import DEMO_TRIPLES, TOY_CITATIONS
 from evograph import traversal
 from evograph import (
     EvolvingGraph,
     InactiveRootError,
+    ReachedMap,
     TemporalNode,
     bfs,
     build_graph,
@@ -210,6 +211,16 @@ def test_undirected_bfs_walks_both_ways():
     }
 
 
+def test_leaf_ids_encode_the_leaves(demo):
+    rm = bfs(demo, (1, 1))
+    ids = rm.leaf_ids(demo)
+    assert sorted(demo.temporal_nodes(ids)) == sorted(rm.leaves)
+    # another graph, even an equal one, encodes the decoded leaves
+    twin = build_graph(DEMO_TRIPLES)
+    assert rm.leaf_ids(twin) == sorted(ids)
+    assert ReachedMap((1, 1), entries=dict(rm.entries)).leaf_ids(demo) == []
+
+
 def test_bfs_accepts_temporal_node_objects(demo):
     assert bfs(demo, TemporalNode(1, 2)).entries == bfs(demo, (1, 2)).entries
 
@@ -244,11 +255,10 @@ def test_temporal_nodes_are_built_only_when_read(monkeypatch):
     assert 0 < len(leaves) < n
     assert len(built) == n + len(leaves)
 
-    # a citation report decodes its backward walk; each forward leaf walk
-    # builds nothing beyond its root
+    # a citation report reads its backward walk and its leaves as active ids
+    # and makes no forward walk, so the walk's root is all it builds
     cites = build_graph(TOY_CITATIONS)
-    back = bfs(cites.time_mirrored(), ("E", -3))
-    walks = 1 + len(back.leaves)
     built.clear()
-    community_report(cites, "E", 3)
-    assert len(built) == walks + len(back.entries) + len(back.leaves)
+    rep = community_report(cites, "E", 3)
+    assert len(rep.entries) == 6 and len(rep.community) == 5
+    assert len(built) == 1
