@@ -141,8 +141,8 @@ def _backward(g: EvolvingGraph, author, year: int) -> tuple[EvolvingGraph, Reach
     """The BFS backward in time from ``(author, year)``: along the citation
     arrows on the time mirror of ``g``, where years are negated.  Returns the
     mirror and the walk."""
-    mirror = g.time_mirrored()  # first, so that g's layout_lists share its int table
     g.require_active((author, year))
+    mirror = g.time_mirrored()
     return mirror, bfs(mirror, (author, -year))
 
 
@@ -152,8 +152,8 @@ def influence_set(g: EvolvingGraph, author, year: int) -> InfluenceReport:
     Runs the traversal on the edge-transposed graph (influence flows from
     cited to citing) and drops the root author's own temporal nodes.
     """
-    influence = g.transposed()  # first, so that g's layout_lists share its int table
     g.require_active((author, year))
+    influence = g.transposed()
     rm = bfs(influence, (author, year))
     return InfluenceReport(author, year, FORWARD, _others(influence, rm, author))
 

@@ -177,7 +177,7 @@ class EvolvingGraph:
         "_layout",    # Layout of int64 arrays over the active temporal nodes
         "_lists",     # the same Layout as tuples of ints, made on first use
         "_n_edges",   # number of stored (deduplicated) static edges
-        "_memo",      # derived graphs, and layout_lists' int table; made on first use
+        "_memo",      # derived graphs, made on first use
     )
 
     def __init__(self, *, directed, keys, labels, layout, n_edges, id_of=None):
@@ -252,27 +252,9 @@ class EvolvingGraph:
 
     @property
     def layout_lists(self) -> Layout:
-        """``layout`` as tuples of Python ints, made once per graph.
-
-        A graph with derived graphs shares with them one table of the ints up
-        to the largest value a field can hold (they share every size), and
-        its tuples point into that table: kept side by side, the family's
-        tuples then take about a quarter of the memory of one int object per
-        entry.  A graph without derived graphs makes one int per entry,
-        which is quicker to make.
-        """
+        """``layout`` as tuples of Python ints, made once per graph."""
         if self._lists is None:
-            held = self._memo.get("ints")
-            if held is None:
-                self._lists = Layout._make(tuple(a.tolist()) for a in self._layout)
-            else:
-                lay = self._layout
-                if held[0] is None:
-                    # no field holds more than the steps, the active ids, a
-                    # node id or a time index
-                    top = max(len(lay.indices), len(lay.node), self.num_nodes, self.num_times)
-                    held[0] = np.arange(top + 1).astype(object)
-                self._lists = Layout._make(tuple(held[0][a].tolist()) for a in lay)
+            self._lists = Layout._make(tuple(a.tolist()) for a in self._layout)
         return self._lists
 
     def temporal_nodes(self, aids) -> list[TemporalNode]:
@@ -414,7 +396,7 @@ class EvolvingGraph:
     # -- derived graphs ---------------------------------------------------
 
     def _derived(self, labels, layout: Layout) -> "EvolvingGraph":
-        g = EvolvingGraph(
+        return EvolvingGraph(
             directed=self.directed,
             keys=self._keys,
             labels=labels,
@@ -422,8 +404,6 @@ class EvolvingGraph:
             n_edges=self._n_edges,
             id_of=self._id_of,
         )
-        g._memo["ints"] = self._memo.setdefault("ints", [None])  # see layout_lists
-        return g
 
     def transposed(self) -> "EvolvingGraph":
         """Same slices with every edge direction flipped.

@@ -120,23 +120,6 @@ class ReachedMap:
     def max_distance(self) -> int:
         return max(self.entries.values())
 
-    def earliest_times(self) -> dict:
-        """node key -> earliest time label at which it was reached.
-
-        Read before ``entries``, it builds no TemporalNode.
-        """
-        if self._ids is None:
-            pairs = ((tn.node, tn.time) for tn in self._entries)
-        else:
-            g, order, _ = self._ids
-            keys, labels, lay = g.nodes, g.time_labels, g.layout_lists
-            pairs = ((keys[lay.node[a]], labels[lay.time[a]]) for a in order)
-        out: dict = {}
-        for node, time in pairs:
-            if node not in out or time < out[node]:
-                out[node] = time
-        return out
-
 
 def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
     """Hop distances from ``root`` along temporal paths.

@@ -68,7 +68,6 @@ def test_reached_map_helpers(demo):
     assert rm.distance_to((9, 9)) is None
     assert rm.frontier(2) == [TemporalNode(3, 2), TemporalNode(2, 3)]
     assert rm.max_distance() == 3
-    assert rm.earliest_times() == {1: 1, 2: 1, 3: 2}
 
 
 def test_distance_golden(demo):
@@ -246,11 +245,8 @@ def test_temporal_nodes_are_built_only_when_read(monkeypatch):
     monkeypatch.setattr(EvolvingGraph, "temporal_nodes", counted_decode)  # results
     rm = bfs(g, root)
     built.clear()  # the root
-    early = rm.earliest_times()
-    assert built == []
     n = len(rm.entries)
     assert len(built) == n
-    assert rm.earliest_times() == early
     leaves = rm.leaves
     assert 0 < len(leaves) < n
     assert len(built) == n + len(leaves)
