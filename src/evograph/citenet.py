@@ -19,7 +19,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .core import EvolvingGraph, build_graph, read_tsv
+import numpy as np
+
+# build_graph is not called here, but stays a module attribute: the
+# benchmark's tracer (perfbench/spans.py) wraps citenet.build_graph
+from .core import EvolvingGraph, _build_coded, build_graph, read_tsv  # noqa: F401
 from .errors import EmptyGraphError
 from .traversal import ReachedMap, bfs
 
@@ -99,25 +103,21 @@ def load_citations(path, name_policy: str = "exact") -> tuple[EvolvingGraph, Ing
     Self-citations are dropped but counted; duplicate rows collapse to one
     edge.
     """
-    rows, lines, comments = read_tsv(path)
-    summary = IngestionSummary(lines=lines, comments=comments, records=len(rows))
-    if not rows:
+    table = read_tsv(path)
+    records = len(table.time)
+    summary = IngestionSummary(lines=table.lines, comments=table.comments, records=records)
+    if not records:
         raise EmptyGraphError(f"{path} contains no citation records")
-    seen = set()
-    triples = []
-    for citing, cited, year in rows:
-        citing = _normalize(citing, name_policy)
-        cited = _normalize(cited, name_policy)
-        if citing == cited:
-            summary.self_citations += 1
-            continue
-        trip = (citing, cited, year)
-        if trip in seen:
-            summary.duplicates += 1
-        else:
-            seen.add(trip)
-        triples.append(trip)
-    g = build_graph(triples, directed=True)
+    mapped: dict = {}  # mapped name -> its position in the list of mapped names
+    recode = np.fromiter((mapped.setdefault(_normalize(name, name_policy), len(mapped))
+                          for name in table.names), dtype=np.int64, count=len(table.names))
+    citing, cited = recode[table.src], recode[table.dst]
+    cites = citing != cited
+    summary.self_citations = records - int(cites.sum())
+    g = _build_coded(list(mapped), citing[cites], cited[cites], table.times,
+                     table.time[cites], directed=True)
+    # the graph keeps one edge per distinct (citing, cited, year) row
+    summary.duplicates = records - summary.self_citations - g.num_static_edges
     summary.edges_kept = g.num_static_edges
     summary.authors = g.num_nodes
     summary.years = g.num_times

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import algebra, citenet, flatten, generator, traversal
-from .core import EvolvingGraph, TemporalNode, _build_columns, build_graph, read_tsv
+from .core import EvolvingGraph, TemporalNode, _build_coded, build_graph, read_tsv
 from .errors import EvographError, ParseError
 
 
@@ -32,19 +32,13 @@ def load_edge_list(path, directed=True) -> EvolvingGraph:
     Node fields become ints when every one of them parses as an int,
     otherwise they stay strings.  Time must always be an integer.
     """
-    rows, _, _ = read_tsv(path)
-    src = [row[0] for row in rows]
-    dst = [row[1] for row in rows]
-    times = [row[2] for row in rows]
-    names = set(src)
-    names.update(dst)
+    table = read_tsv(path)
+    names = table.names
     try:
-        as_int = {name: int(name) for name in names}
+        names = [int(name) for name in names]
     except ValueError:
         pass  # some name is not an integer, so every name stays a string
-    else:
-        src, dst = list(map(as_int.__getitem__, src)), list(map(as_int.__getitem__, dst))
-    return _build_columns(src, dst, times, directed)
+    return _build_coded(names, table.src, table.dst, table.times, table.time, directed)
 
 
 def parse_temporal(token: str, g: EvolvingGraph) -> TemporalNode:
@@ -165,11 +159,23 @@ def verify_random(count: int, seed: int, max_nodes: int = 30, max_times: int = 5
 
 
 def geometric_sizes(start: int, end: int, steps: int) -> list[int]:
+    """``steps`` edge counts from ``start`` to ``end``, spaced geometrically
+    and rounded.  Raises EvographError unless every count is larger than the
+    one before; a request for more counts than the range holds is refused
+    before any is computed, and a repeat stops the list where it occurs."""
     if steps < 2 or start <= 0 or end <= start:
         raise EvographError("need steps >= 2 and 0 < start < end")
+    if steps > end - start + 1:
+        raise EvographError(f"{steps} steps from {start} to {end} must repeat sizes: "
+                            f"only {end - start + 1} edge counts lie in that range")
     ratio = (end / start) ** (1 / (steps - 1))
-    sizes = [round(start * ratio**i) for i in range(steps)]
-    sizes[-1] = end
+    sizes = [start]
+    for i in range(1, steps):
+        size = end if i == steps - 1 else round(start * ratio**i)
+        if size <= sizes[-1]:
+            raise EvographError(f"{steps} steps from {start} to {end} round to a "
+                                f"repeated size, {sizes[-1]}")
+        sizes.append(size)
     return sizes
 
 
@@ -286,6 +292,16 @@ def _check_verify_args(parser, args):
         parser.error("--undirected needs a FILE: random graphs pick their own direction")
     if args.file is not None and (args.random is not None or args.seed is not None):
         parser.error("--random and --seed make random graphs, so they take no FILE")
+
+
+def _check_bench_args(parser, args):
+    """Refuse, as usage errors, the sizes that would not grow at every step."""
+    if args.end_edges <= args.start_edges:
+        parser.error("--end-edges must be above --start-edges")
+    try:
+        geometric_sizes(args.start_edges, args.end_edges, args.steps)
+    except EvographError as exc:
+        parser.error(f"--steps: {exc}")
 
 
 def _cmd_demo_naive_sum(args):
@@ -424,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time full traversals on a growth family")
     p.add_argument("--nodes", type=int, default=10_000)
     p.add_argument("--times", type=int, default=10)
-    p.add_argument("--start-edges", type=int, default=100_000)
+    p.add_argument("--start-edges", type=_at_least(1), default=100_000)
     p.add_argument("--end-edges", type=int, default=1_000_000)
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=_at_least(2), default=5)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--reps", type=_at_least(1), default=5)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_bench)
+    p.set_defaults(func=_cmd_bench, check=partial(_check_bench_args, p))
 
     p = sub.add_parser("generate", help="emit a seeded random graph")
     p.add_argument("--nodes", type=int, required=True)

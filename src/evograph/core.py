@@ -508,6 +508,30 @@ def _build_columns(src: Sequence, dst: Sequence, times: Sequence[int],
     return _build_ids(keys, labels, u, v, t, directed, id_of)
 
 
+def _build_coded(names: Sequence, src: np.ndarray, dst: np.ndarray,
+                 times: Sequence[int], time: np.ndarray, directed: bool) -> EvolvingGraph:
+    """``build_graph`` on the records ``(names[src[i]], names[dst[i]],
+    times[time[i]])``, coded as int64 positions in lists of keys and time
+    labels.  A list may hold a value twice; a value that no record uses is
+    not kept."""
+    if not len(time):
+        raise EmptyGraphError("edge list is empty")
+    keys, id_of, (u, v) = _ranked(names, src, dst)
+    labels, _, (t,) = _ranked(times, time)
+    return _build_ids(keys, labels, u, v, t, directed, id_of)
+
+
+def _ranked(values: Sequence, *codes: np.ndarray) -> tuple[tuple, dict, list]:
+    """The distinct ``values`` that the code arrays use, sorted; a dict from
+    each to its position; and each code array recoded to those positions."""
+    used = np.flatnonzero(np.bincount(np.concatenate(codes), minlength=len(values))).tolist()
+    ordered = tuple(sorted({values[i] for i in used}))
+    pos = {x: i for i, x in enumerate(ordered)}
+    recode = np.zeros(len(values), dtype=np.int64)
+    recode[used] = [pos[values[i]] for i in used]
+    return ordered, pos, [recode[c] for c in codes]
+
+
 def _build_ids(keys: tuple, labels: tuple, u: np.ndarray, v: np.ndarray,
                t: np.ndarray, directed: bool, id_of=None) -> EvolvingGraph:
     """The graph over sorted ``keys`` and ``labels`` whose records are coded
@@ -536,18 +560,134 @@ def _build_ids(keys: tuple, labels: tuple, u: np.ndarray, v: np.ndarray,
     )
 
 
-def read_tsv(path) -> tuple[list[tuple[str, str, int]], int, int]:
+class EdgeTable(NamedTuple):
+    """The data rows of an edge-list file, coded.
+
+    Row i is ``(names[src[i]], names[dst[i]], times[time[i]])``: ``names``
+    holds the distinct whitespace-stripped names and ``times`` the distinct
+    integer times, each once, and ``src``, ``dst`` and ``time`` are int64
+    arrays of positions in them.  ``lines`` counts the lines read and
+    ``comments`` the comment lines.
+    """
+
+    names: list
+    src: np.ndarray
+    dst: np.ndarray
+    times: list
+    time: np.ndarray
+    lines: int
+    comments: int
+
+    def rows(self) -> list[tuple[str, str, int]]:
+        """The rows as (source, target, time) tuples, in file order."""
+        names, times = self.names, self.times
+        return [(names[s], names[d], times[t]) for s, d, t in
+                zip(self.src.tolist(), self.dst.tolist(), self.time.tolist())]
+
+
+def read_tsv(path) -> EdgeTable:
     """Read ``name<TAB>name<TAB>time`` rows from a UTF-8 text file.
 
-    Blank lines and lines starting with ``#`` are skipped.  Names are
-    whitespace-stripped strings; times must be integers.  Returns the rows,
-    the number of lines read and the number of comment lines.  A malformed
-    row (wrong field count, empty name, non-integer time) or a line that is
-    not UTF-8 raises ParseError with its line number.  The file is decoded
-    as it is read, in blocks of 8 KiB, so when a file has both faults the
-    UTF-8 error wins if its block is decoded before the bad row is reached
-    (it lies in the same block or an earlier one), and the row error wins
-    otherwise.
+    Lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``.  Blank lines and lines
+    starting with ``#`` are skipped.  Names are whitespace-stripped strings;
+    times must be integers.  A malformed row (wrong field count, empty name,
+    non-integer time) or a line that is not UTF-8 raises ParseError with its
+    line number.  When a file has both faults, the UTF-8 error wins if it
+    lies in the same 8 KiB block as the bad row or an earlier one, and the
+    row error wins otherwise (the order in which a text-mode read of 8 KiB
+    blocks meets them).
+
+    The file is read in one pass of array work over its bytes (see
+    ``_code_rows``); only a file with a fault is read again, line by line,
+    to report the first one.
+    """
+    with open(path, "rb") as fh:
+        table = _code_rows(fh.read())
+    if table is None:
+        _scan_lines(path)  # raises the ParseError of the first fault
+        raise RuntimeError(f"{path}: the bulk reader found a fault that the line scan did not")
+    return table
+
+
+# first bytes of a line that make it a data row as they stand: ASCII, and
+# neither whitespace (as ``str.isspace`` reads it) nor "#"
+_ROW_START = np.array([b < 128 and not chr(b).isspace() and b != ord("#") for b in range(256)])
+
+
+def _code_rows(data: bytes) -> EdgeTable | None:
+    """``read_tsv`` on a file's bytes, or None when the file has a fault.
+
+    Newlines and tabs are found as arrays.  Only the lines that open with
+    whitespace, ``#`` or a non-ASCII byte are decoded one by one, to tell
+    blank lines and comments from rows.  Every row must then hold exactly two
+    tabs; the rows are decoded and split into fields at once, and each
+    distinct field is stripped or converted to int once.  Costs O(bytes)
+    array work, O(rows) dict lookups and O(distinct fields) conversions.
+    """
+    if b"\r" in data:  # the line ends that text mode reads as newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if data and data[-1] != 10:
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    is_row = _ROW_START[buf[starts]]  # an empty line starts with its newline
+    comments = 0
+    odd = np.flatnonzero(~is_row)
+    for i, lo, hi in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
+        head = data[lo:hi].decode("utf-8").lstrip()
+        if head and head[0] != "#":
+            is_row[i] = True
+        elif head:
+            comments += 1
+    tabs_before_end = np.searchsorted(np.flatnonzero(buf == 9), ends)
+    if (np.diff(tabs_before_end, prepend=0)[is_row] != 2).any():
+        return None
+    if not is_row.all():
+        data = buf[np.repeat(is_row, np.diff(starts, append=len(data)))].tobytes()
+    m = int(is_row.sum())
+    fields = data.decode("utf-8").replace("\n", "\t").split("\t")
+    src, dst, time = fields[0:3 * m:3], fields[1::3], fields[2::3]
+    del fields
+    name_of = dict.fromkeys(src)
+    name_of.update(dict.fromkeys(dst))
+    names: dict = {}
+    for raw in name_of:
+        name = raw.strip()
+        if not name:
+            return None
+        name_of[raw] = names.setdefault(name, len(names))
+    time_of = dict.fromkeys(time)
+    times: dict = {}
+    for raw in time_of:
+        try:
+            value = int(raw)  # int() ignores surrounding whitespace
+        except ValueError:
+            return None
+        time_of[raw] = times.setdefault(value, len(times))
+    return EdgeTable(
+        list(names),
+        np.fromiter(map(name_of.__getitem__, src), dtype=np.int64, count=m),
+        np.fromiter(map(name_of.__getitem__, dst), dtype=np.int64, count=m),
+        list(times),
+        np.fromiter(map(time_of.__getitem__, time), dtype=np.int64, count=m),
+        len(ends),
+        comments,
+    )
+
+
+def _scan_lines(path) -> tuple[list[tuple[str, str, int]], int, int]:
+    """``read_tsv`` one line at a time: the rows as (source, target, time)
+    tuples, the number of lines read and the number of comment lines.
+
+    ``read_tsv`` calls it to report a file's first fault; tests hold the
+    bulk pass to it.  The file is decoded as it is read, in blocks of 8 KiB,
+    which sets the precedence between a bad byte and a bad row.
     """
     rows = []
     comments = 0

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvolvingGraph, _build_columns, _build_ids
-from .errors import InfeasibleError
+from .errors import InfeasibleError, TooLargeError
+
+# The most int64 triple codes one sampling array may hold (256 MiB).  The
+# shuffle used near saturation holds every code of the n_nodes**2 * n_times
+# space, and a rejection batch about 1.5 codes per wanted edge; a request
+# past this raises TooLargeError before either is allocated.
+MAX_SAMPLE_CODES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,13 @@ def _sample(rng, n_nodes, n_times, count, directed, forbidden):
     """
     pairs = n_nodes * (n_nodes - 1) if directed else n_nodes * (n_nodes - 1) // 2
     capacity = pairs * n_times - len(forbidden)
-    if count * 2 >= capacity:
+    dense = count * 2 >= capacity
+    codes = n_times * n_nodes * n_nodes if dense else max(64, int(count * 1.5))
+    if codes > MAX_SAMPLE_CODES:
+        raise TooLargeError(
+            f"sampling {count} edges over {n_nodes} nodes x {n_times} times needs "
+            f"{codes} triple codes at once; the limit is {MAX_SAMPLE_CODES}")
+    if dense:
         return _sample_dense(rng, n_nodes, n_times, count, directed, forbidden)
 
     taken = forbidden

@@ -42,7 +42,8 @@ def write(tmp_path, text, name="net.tsv"):
 
 
 def test_parse_toy_file(toy_citation_file):
-    assert read_tsv(toy_citation_file) == (TOY_CITATIONS, 8, 1)
+    table = read_tsv(toy_citation_file)
+    assert (table.rows(), table.lines, table.comments) == (TOY_CITATIONS, 8, 1)
     _, summary = load_citations(toy_citation_file)
     assert summary.lines == 8
     assert summary.comments == 1

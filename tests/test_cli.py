@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from evograph import algebra, flatten, traversal
+from evograph import EvographError, algebra, flatten, generator, traversal
 from evograph.algebra import BlockMatrix
 from evograph.cli import demo_graph, geometric_sizes, main, run_bench, verify_graph
 from evograph.core import EvolvingGraph, TemporalNode
@@ -344,6 +344,14 @@ def test_usage_errors_exit_2(demo_file):
         ["verify", demo_file, "--random", "3", "--seed", "1"],
         ["generate", "--nodes", "3", "--times", "2", "--edges", "2", "--seed", "-1"],
         ["bench", "--seed", "-1"],
+        # bench sizes that would not grow at every step
+        ["bench", "--steps", "1"],
+        ["bench", "--start-edges", "0"],
+        ["bench", "--start-edges", "200", "--end-edges", "200"],
+        ["bench", "--start-edges", "300", "--end-edges", "200"],
+        ["bench", "--start-edges", "100", "--end-edges", "200", "--steps", "101"],
+        ["bench", "--start-edges", "100", "--end-edges", "200", "--steps", "300"],
+        ["bench", "--start-edges", "100", "--end-edges", "200", "--steps", "100000000"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -375,6 +383,22 @@ def test_geometric_sizes():
     sizes = geometric_sizes(10**5, 10**6, 5)
     assert sizes[0] == 10**5 and sizes[-1] == 10**6
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
+    assert geometric_sizes(100, 200, 2) == [100, 200]
+    assert len(geometric_sizes(1000, 10**6, 60)) == 60
+    with pytest.raises(EvographError, match="round to a repeated size, 101"):
+        geometric_sizes(100, 200, 101)
+    with pytest.raises(EvographError, match="only 101 edge counts"):
+        geometric_sizes(100, 200, 10**8)
+
+
+def test_generate_refuses_a_sample_above_its_limit(capsys):
+    # near saturation the sampler would shuffle all 10**10 triple codes
+    assert main(["generate", "--nodes", "100000", "--times", "1",
+                 "--edges", "5000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sampling 5000000000 edges")
+    assert f"the limit is {generator.MAX_SAMPLE_CODES}" in captured.err
 
 
 def test_bfs_and_community_do_not_load_scipy_sparse(tmp_path):
