@@ -41,6 +41,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 # the product and the distance matrix of a batch each hold that many entries
 _BATCH_CELLS = 1 << 20
 
+# ``count_temporal_paths`` raises TooLargeError rather than pass this many
+# units of work.  A hop costs one unit per active temporal node and per
+# same-slice step, plus PATH_COUNT_STAMP_COST per time stamp for the array
+# calls made at each stamp; 10**8 units are about half a second of products
+# on a 2-core VM, so a cyclic graph asked for 10**9 hops fails at once
+MAX_PATH_COUNT_WORK = 10**8
+PATH_COUNT_STAMP_COST = 4096
+
 
 @dataclass(frozen=True)
 class SliceMatrix:
@@ -382,7 +390,10 @@ def count_temporal_paths(
     Computed as an entry of the hops-fold transpose product applied to the
     indicator of src.  Counts are exact 64-bit integers; an iteration that
     could wrap raises PathCountOverflowError.  Inactive or unknown endpoints
-    have no paths at all.
+    have no paths at all.  The products stop once the vector is zero, so an
+    acyclic graph answers 0 for any hop count past its longest path; a hop
+    that would take the work past ``MAX_PATH_COUNT_WORK`` raises
+    TooLargeError.
     """
     if hops < 0:
         raise ValueError("hops must be nonnegative")
@@ -394,9 +405,16 @@ def count_temporal_paths(
         return 0
     blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
     blocks[graph.time_index(s_lab)][graph.node_id(s_node)] = 1
-    for _ in range(hops):
+    hop_cost = (op.num_active + len(graph.layout.indices)
+                + PATH_COUNT_STAMP_COST * graph.num_times)
+    for done in range(hops):
         if not any(blk.any() for blk in blocks):
             return 0  # every longer path count is zero too
+        if (done + 1) * hop_cost > MAX_PATH_COUNT_WORK:
+            raise TooLargeError(
+                f"{hops} hops at {hop_cost} units of work each exceed the path-count "
+                f"budget of {MAX_PATH_COUNT_WORK} units (at most "
+                f"{MAX_PATH_COUNT_WORK // hop_cost} hops on this graph)")
         blocks = op._matvec_blocks(blocks)
     return int(blocks[graph.time_index(d_lab)][graph.node_id(d_node)])
 

@@ -598,8 +598,11 @@ def read_tsv(path) -> EdgeTable:
     blocks meets them).
 
     The file is read in one pass of array work over its bytes (see
-    ``_code_rows``); only a file with a fault is read again, line by line,
-    to report the first one.
+    ``_code_rows``): no Python object is made per row or per field, only one
+    per distinct field.  The cost is O(bytes) array work, O(fields log
+    fields) to sort the fields' keys and O(distinct fields) Python work.
+    Only a file with a fault is read again, line by line, to report the
+    first one.
     """
     with open(path, "rb") as fh:
         table = _code_rows(fh.read())
@@ -613,6 +616,13 @@ def read_tsv(path) -> EdgeTable:
 # neither whitespace (as ``str.isspace`` reads it) nor "#"
 _ROW_START = np.array([b < 128 and not chr(b).isspace() and b != ord("#") for b in range(256)])
 
+# by chunk size n (0 to 7 bytes): the mask of a little-endian word's low n
+# bytes, and the bit just above them, which marks the size
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
+_SIZE_BIT = np.array([1 << 8 * n for n in range(8)], dtype=np.uint64)
+# fields of up to this many 7-byte chunks are coded one chunk at a time
+_CHUNKS_BY_COLUMN = 4
+
 
 def _code_rows(data: bytes) -> EdgeTable | None:
     """``read_tsv`` on a file's bytes, or None when the file has a fault.
@@ -620,9 +630,11 @@ def _code_rows(data: bytes) -> EdgeTable | None:
     Newlines and tabs are found as arrays.  Only the lines that open with
     whitespace, ``#`` or a non-ASCII byte are decoded one by one, to tell
     blank lines and comments from rows.  Every row must then hold exactly two
-    tabs; the rows are decoded and split into fields at once, and each
-    distinct field is stripped or converted to int once.  Costs O(bytes)
-    array work, O(rows) dict lookups and O(distinct fields) conversions.
+    tabs, which give the byte span of each of its fields.  Every field gets
+    an exact integer key from its bytes (``_field_keys``), and one sort of
+    the keys codes all fields at once (``_dense``).  Only the distinct fields
+    are decoded, stripped or converted to int.  Costs O(bytes) array work,
+    O(fields log fields) for the sorts and O(distinct fields) Python work.
     """
     if b"\r" in data:  # the line ends that text mode reads as newlines
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -635,50 +647,157 @@ def _code_rows(data: bytes) -> EdgeTable | None:
     ends = np.flatnonzero(buf == 10)
     if data and data[-1] != 10:
         ends = np.append(ends, len(data))
-    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    lines = len(ends)
+    starts = np.zeros(lines, dtype=np.int64)
+    np.add(ends[:-1], 1, out=starts[1:])
     is_row = _ROW_START[buf[starts]]  # an empty line starts with its newline
     comments = 0
     odd = np.flatnonzero(~is_row)
-    for i, lo, hi in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
-        head = data[lo:hi].decode("utf-8").lstrip()
+    for i, start, end in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
+        head = data[start:end].decode("utf-8").lstrip()
         if head and head[0] != "#":
             is_row[i] = True
         elif head:
             comments += 1
-    tabs_before_end = np.searchsorted(np.flatnonzero(buf == 9), ends)
-    if (np.diff(tabs_before_end, prepend=0)[is_row] != 2).any():
+    tabs = np.flatnonzero(buf == 9)
+    tabs_before_end = np.searchsorted(tabs, ends)
+    tabs_in_line = tabs_before_end.copy()
+    tabs_in_line[1:] -= tabs_before_end[:-1]
+    if (tabs_in_line[is_row] != 2).any():
         return None
-    if not is_row.all():
-        data = buf[np.repeat(is_row, np.diff(starts, append=len(data)))].tobytes()
-    m = int(is_row.sum())
-    fields = data.decode("utf-8").replace("\n", "\t").split("\t")
-    src, dst, time = fields[0:3 * m:3], fields[1::3], fields[2::3]
-    del fields
-    name_of = dict.fromkeys(src)
-    name_of.update(dict.fromkeys(dst))
-    names: dict = {}
-    for raw in name_of:
-        name = raw.strip()
-        if not name:
-            return None
-        name_of[raw] = names.setdefault(name, len(names))
-    time_of = dict.fromkeys(time)
-    times: dict = {}
-    for raw in time_of:
-        try:
-            value = int(raw)  # int() ignores surrounding whitespace
-        except ValueError:
-            return None
-        time_of[raw] = times.setdefault(value, len(times))
-    return EdgeTable(
-        list(names),
-        np.fromiter(map(name_of.__getitem__, src), dtype=np.int64, count=m),
-        np.fromiter(map(name_of.__getitem__, dst), dtype=np.int64, count=m),
-        list(times),
-        np.fromiter(map(time_of.__getitem__, time), dtype=np.int64, count=m),
-        len(ends),
-        comments,
-    )
+    del tabs_in_line
+    # field f is data[lo[f]:hi[f]]: the sources, then the targets, then the times
+    m = int(np.count_nonzero(is_row))
+    lo = np.empty(3 * m, dtype=np.int64)
+    hi = np.empty(3 * m, dtype=np.int64)
+    last_tab = tabs_before_end[is_row] - 1
+    del tabs_before_end
+    lo[:m] = starts[is_row]
+    hi[m:2 * m] = tabs[last_tab]
+    hi[:m] = tabs[last_tab - 1]
+    hi[2 * m:] = ends[is_row]
+    del tabs, last_tab, starts, ends, is_row  # the reader's memory peaks in _dense
+    lo[m:] = hi[:2 * m]
+    lo[m:] += 1
+    hi -= lo  # now each field's size
+    codes, one = _dense(_field_keys(data, lo, hi))
+    lo, size = lo[one], hi[one]
+    del hi, one
+    names, src_dst = _distinct(data, lo, size, codes[:2 * m], str.strip)
+    # int() ignores surrounding whitespace, as str.strip does for names
+    times, time = _distinct(data, lo, size, codes[2 * m:], int)
+    if names is None or times is None or "" in names:
+        return None
+    return EdgeTable(names, src_dst[:m], src_dst[m:], times, time, lines, comments)
+
+
+def _distinct(data: bytes, lo: np.ndarray, size: np.ndarray, codes: np.ndarray,
+              convert) -> tuple[list | None, np.ndarray]:
+    """The distinct values of ``convert`` over the fields that ``codes``
+    uses (field c is ``data[lo[c]:lo[c] + size[c]]``, decoded), and each
+    code recoded to its value's position among them.  The values are None
+    when ``convert`` raises ValueError."""
+    used = np.zeros(len(lo), dtype=bool)
+    used[codes] = True
+    used = np.flatnonzero(used)
+    try:
+        values = [convert(data[a:a + n].decode("utf-8"))
+                  for a, n in zip(lo[used].tolist(), size[used].tolist())]
+    except ValueError:
+        return None, codes
+    position: dict = {}
+    recode = np.zeros(len(lo), dtype=np.int64)
+    recode[used] = [position.setdefault(v, len(position)) for v in values]
+    return list(position), recode[codes]
+
+
+def _field_keys(data: bytes, lo: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """One uint64 key per field ``data[lo[f]:lo[f] + size[f]]``, equal for
+    two fields exactly when their bytes are equal.
+
+    A field is cut into chunks of 7 bytes, the last one shorter (or empty,
+    for an empty field).  A chunk's key is its bytes read as a little-endian
+    number plus the bit above them that marks its size, so it stays below
+    2**57.  A field of one chunk is keyed by that chunk.  Longer fields are
+    grouped by their number of chunks and each group is coded as rows of
+    chunk keys: up to ``_CHUNKS_BY_COLUMN`` chunks one position at a time
+    (a sort of integers per position), more as whole rows of bytes (one sort
+    that compares bytes).  A group's codes are placed above every short key
+    and every earlier group and span less than the group's size squared, so
+    every key stays below ``2**57 + fields**2``.  Each field's bytes are read
+    once and no field is padded past its own chunks, so the work is O(bytes)
+    plus the sorts.
+    """
+    # the 8 bytes that start at each offset, read as one little-endian word
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+
+    def chunk_keys(at: np.ndarray, n: np.ndarray) -> np.ndarray:
+        cut = np.minimum(n, 7)
+        keys = words[at]
+        keys &= _LOW_BYTES[cut]
+        keys |= _SIZE_BIT[cut]
+        return keys
+
+    keys = chunk_keys(lo, size)
+    long = np.flatnonzero(size > 7)
+    if not len(long):
+        return keys
+    chunks = (size[long] + 6) // 7
+    order = np.argsort(chunks, kind="stable")
+    long, chunks = long[order], chunks[order]
+    bounds = np.flatnonzero(np.diff(chunks, prepend=0, append=0)).tolist()
+    keys[long] = 0
+    base = int(keys.max()) + 1  # above every short key
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        group = long[i:j]
+        at = np.arange(0, 7 * int(chunks[i]), 7)
+        rows = chunk_keys(lo[group, None] + at, size[group, None] - at)
+        if len(at) > _CHUNKS_BY_COLUMN:
+            distinct, code = np.unique(rows.view(f"V{rows.itemsize * len(at)}").ravel(),
+                                       return_inverse=True)
+            count = len(distinct)
+        else:
+            code, count = np.zeros(len(group), dtype=np.int64), 1
+            for col in rows.T:
+                if count > len(group):  # rank the pair codes, which keeps them below len(group)**2
+                    distinct, code = np.unique(code, return_inverse=True)
+                    count = len(distinct)
+                distinct, col = np.unique(col, return_inverse=True)
+                code, count = code * len(distinct) + col, count * len(distinct)
+        keys[group] = base + code
+        base += count
+    return keys
+
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys (int64), and the index of one
+    occurrence of each distinct key, in rank order.  Overwrites ``keys``.
+
+    When every key fits beside its index in one 64-bit word, the pairs are
+    sorted in place, which is faster than ``argsort`` and needs no second
+    copy of the keys.
+    """
+    bits = len(keys).bit_length()
+    if not len(keys) or int(keys.max()) >> (64 - bits) == 0:
+        keys <<= bits
+        keys |= np.arange(len(keys), dtype=np.uint64)
+        keys.sort()
+        order = (keys & ((1 << bits) - 1)).view(np.int64)
+        keys >>= bits
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    del keys
+    first = np.flatnonzero(new)
+    after = np.empty_like(first)  # where each run of equal keys ends
+    after[:-1] = first[1:]
+    after[-1:] = len(new)
+    codes = np.empty(len(new), dtype=np.int64)
+    codes[order] = np.repeat(np.arange(len(first)), after - first)
+    return codes, order[first]
 
 
 def _scan_lines(path) -> tuple[list[tuple[str, str, int]], int, int]:

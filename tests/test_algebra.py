@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import numpy as np
 import pytest
@@ -281,6 +282,32 @@ def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
     monkeypatch.setattr(BlockMatrix, "_matvec_blocks", counting)
     assert count_temporal_paths(demo, (1, 1), (3, 3), 200_000) == 0
     assert len(calls) == 4
+
+
+def test_count_paths_work_budget(demo, monkeypatch):
+    # a 2-node cycle keeps every count at 0 or 1, so only the budget stops it;
+    # each hop costs 2 active ids + 2 steps + one stamp
+    cycle = build_graph([(1, 2, 1), (2, 1, 1)])
+    hop_cost = 4 + algebra.PATH_COUNT_STAMP_COST
+    monkeypatch.setattr(algebra, "MAX_PATH_COUNT_WORK", 1001 * hop_cost)
+    assert count_temporal_paths(cycle, (1, 1), (2, 1), 1001) == 1
+    with pytest.raises(TooLargeError, match="at most 1001 hops"):
+        count_temporal_paths(cycle, (1, 1), (2, 1), 1002)
+    monkeypatch.undo()
+    # an acyclic graph still answers any hop count: its vector vanishes first
+    assert count_temporal_paths(demo, (1, 1), (3, 3), 10**12) == 0
+    # graphs of the benchmark's engine size, asked for twice their nilpotency
+    # index, use a small share of the budget
+    rng = random.Random(7)
+    edges = [tuple(sorted(rng.sample(range(100), 2))) + (rng.randrange(5),) for _ in range(200)]
+    g = build_graph(edges)
+    hops = 2 * nilpotency_index(g)
+    hop_cost = (g.num_active() + len(g.layout.indices)
+                + algebra.PATH_COUNT_STAMP_COST * g.num_times)
+    assert hops * hop_cost < algebra.MAX_PATH_COUNT_WORK // 100
+    root = g.active_nodes()[0]
+    for dst in g.active_nodes()[:5]:
+        count_temporal_paths(g, root, dst, hops)  # within the budget: no TooLargeError
 
 
 def test_count_paths_matches_walk_enumeration():

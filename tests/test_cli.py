@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -45,6 +46,19 @@ def toy_file(toy_citation_file):
 def test_bfs_from_first(demo_file, capsys):
     assert main(["bfs", demo_file, "--root", "1@1"]) == 0
     assert capsys.readouterr().out == BFS_FROM_FIRST
+
+
+def test_count_paths_past_its_budget_exits_1(tmp_path, capsys):
+    path = tmp_path / "cycle.tsv"
+    path.write_text("1\t2\t1\n2\t1\t1\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["count-paths", str(path), "--from", "1@1", "--to", "2@1",
+                 "--hops", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "budget" in captured.err
 
 
 def test_bfs_mid_root(demo_file, capsys):

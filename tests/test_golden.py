@@ -7,6 +7,13 @@ replaced.  The two seeded inputs are ``evograph generate --nodes 7 --times
 4 --edges 16 --seed 3`` and ``evograph generate --nodes 7 --times 4 --edges
 14 --seed 5 --undirected``.
 
+The ``bfs`` files were written by the reader that split every row into
+Python strings, before the one that codes fields as byte arrays.  Each holds
+the output of ``evograph bfs`` from every root active at the first stamp, in
+active-id order: for ``directed.tsv``, ``undirected.tsv --undirected`` and
+``names.tsv``, whose string names include some longer than 8 bytes, a padded
+one and non-ASCII ones.
+
 The citation files were written by the per-leaf forward walks that the
 one-pass community report replaced, from every active (author, year) of
 ``citations.tsv`` (``evograph generate --nodes 15 --times 6 --edges 45
@@ -22,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from evograph.citenet import influence_set, influencers_set, load_citations
-from evograph.cli import main
+from evograph.cli import load_edge_list, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,6 +51,21 @@ def test_verify_random_golden(capsys):
 def test_flatten_golden(capsys, name, flags):
     assert main(["flatten", str(GOLDEN / f"{name}.tsv"), *flags]) == 0
     assert capsys.readouterr().out == _expected(f"flatten_{name}.txt")
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("directed", []),
+    ("undirected", ["--undirected"]),
+    ("names", []),
+])
+def test_bfs_golden(capsys, name, flags):
+    path = GOLDEN / f"{name}.tsv"
+    g = load_edge_list(path, directed=not flags)
+    first = g.time_labels[0]
+    for tn in g.active_nodes():
+        if tn.time == first:
+            assert main(["bfs", str(path), "--root", f"{tn.node}@{tn.time}", *flags]) == 0
+    assert capsys.readouterr().out == _expected(f"bfs_{name}.txt")
 
 
 CITATIONS = GOLDEN / "citations.tsv"

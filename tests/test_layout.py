@@ -8,6 +8,7 @@ import random
 import re
 import tracemalloc
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,8 @@ def test_builder_raises_like_reference(recs, error):
 
 # -- reader ---------------------------------------------------------------------
 
+PREFIXED = [(b"abcdefgh" * 38)[:n] for n in (7, 8, 9, 16, 300)]
+
 # file bytes -> (rows, lines read, comment lines)
 GOOD_FILES = {
     "lf": (b"a\tb\t1\nc\td\t2\n", [("a", "b", 1), ("c", "d", 2)], 2, 0),
@@ -131,6 +134,26 @@ GOOD_FILES = {
     "comments only": (b"# nothing\n\n", [], 2, 1),
     "empty": (b"", [], 0, 0),
     "bom": (b"\xef\xbb\xbfa\tb\t1\n", [("\ufeffa", "b", 1)], 1, 0),
+    "nul in a name": (b"a\x00\tb\t1\na\tb\t2\n", [("a\x00", "b", 1), ("a", "b", 2)], 2, 0),
+    # 7 bytes fit one key word, longer names are keyed in chunks of 7
+    "names sharing a prefix": (
+        b"".join(b"%s\t%s\t1\n" % (u, v) for u, v in zip(PREFIXED, PREFIXED[1:] + PREFIXED[:1])),
+        [(u.decode(), v.decode(), 1) for u, v in zip(PREFIXED, PREFIXED[1:] + PREFIXED[:1])], 5, 0),
+    "name spelled like a time": (b"7\t8\t7\n", [("7", "8", 7)], 1, 0),
+    "one time four ways": (b"a\tb\t1\na\tb\t01\na\tb\t+1\na\tb\t 1 \n", [("a", "b", 1)] * 4, 4, 0),
+    "padded and unpadded name": (b" a \tb\t1\na\t b\t2\n", [("a", "b", 1), ("a", "b", 2)], 2, 0),
+    # 300 fields, most of 7 bytes: keys too wide to sort beside their index,
+    # among them a 7-byte name whose last byte sits where a 6-byte name's
+    # size bit does
+    "many 7-byte names": (
+        b"abcdef\tabcdef\x01\t0\n"
+        + b"".join(b"name%03d\tname%03d\t%d\n" % (i, i + 1, i % 3) for i in range(99)),
+        [("abcdef", "abcdef\x01", 0)]
+        + [(f"name{i:03d}", f"name{i + 1:03d}", i % 3) for i in range(99)], 100, 0),
+    # 400 distinct long names, coded above the keys of the 1-byte times
+    "many long names": (
+        b"".join(b"long name %04d\tx\t%d\n" % (i, i % 3) for i in range(400)),
+        [(f"long name {i:04d}", "x", i % 3) for i in range(400)], 400, 0),
 }
 
 # file bytes -> (ParseError message, line number)
@@ -179,9 +202,11 @@ def test_reader_errors(tmp_path, name):
 
 # pieces of generated files: whitespace that str.strip and str.isspace read
 # differently from bytes (form feed, an em space), the BOM, number syntax
-# that int() takes or refuses, and a byte that is never UTF-8
+# that int() takes or refuses, a NUL, a piece that makes names longer than
+# one 7-byte key chunk, and a byte that is never UTF-8
 PADS = [b"", b" ", b"\x0c", "\u2003".encode()]
-NAME_PIECES = [b"a", b"Zq", b"0", b"7", b"42", b"_", b"+", b"-", b"#", "\ufeff".encode()]
+NAME_PIECES = [b"a", b"Zq", b"0", b"7", b"42", b"_", b"+", b"-", b"#", "\ufeff".encode(),
+               b"\x00", b"twelve_bytes"]
 TIMES = [b"0", b"7", b"+42", b"-3", b"1_000", b"007"]
 JUNK = PADS + NAME_PIECES + [b"\t", b"\xff"]
 LINE_ENDS = [b"\n", b"\r\n", b"\r", b""]
@@ -223,6 +248,29 @@ def test_bulk_reader_agrees_with_line_scan(tmp_path_factory, data):
         return table.rows(), table.lines, table.comments
 
     assert outcome(bulk, path) == outcome(_scan_lines, path)
+
+
+def test_reader_cost_follows_file_size(tmp_path):
+    """10**4 short rows and one 64 KiB name: the reader's arrays hold a few
+    words per field, so its peak stays within 16 times the file's size.  A
+    reader that padded every field to the longest would need 2 GB here.  Two
+    rows that share one 1 MiB name take a few sorts, not one per chunk."""
+    data = b"".join(b"%d\t%d\t%d\n" % (i % 997, i * 7 % 991, i % 10) for i in range(10_000))
+    data += b"x" * (1 << 16) + b"\ty\t1\n"
+    path = write(tmp_path, "one long name", data)
+    tracemalloc.start()
+    try:
+        table = read_tsv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.time) == 10_001 and "x" * (1 << 16) in table.names
+    assert peak < 16 * len(data), f"read_tsv peaked at {peak} bytes for a {len(data)}-byte file"
+    name = b"y" * (1 << 20)
+    path = write(tmp_path, "one long name twice", b"%s\tz\t1\n%s\tz\t2\n" % (name, name))
+    start = perf_counter()
+    assert read_tsv(path).rows() == [(name.decode(), "z", 1), (name.decode(), "z", 2)]
+    assert perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("name", sorted(GOOD_FILES))
