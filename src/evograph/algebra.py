@@ -42,12 +42,13 @@ _INT64_MAX = np.iinfo(np.int64).max
 _BATCH_CELLS = 1 << 20
 
 # ``count_temporal_paths`` raises TooLargeError rather than pass this many
-# units of work.  A hop costs one unit per active temporal node and per
-# same-slice step, plus PATH_COUNT_STAMP_COST per time stamp for the array
-# calls made at each stamp; 10**8 units are about half a second of products
-# on a 2-core VM, so a cyclic graph asked for 10**9 hops fails at once
+# units of work (see ``path_count_hop_cost``).  On a 2-core VM a hop took
+# 3.4-4.5 ns per block cell, up to 1 ns per edge, 4.2-4.4 us per stamp and
+# 2.4 us more for the hop itself, so a stamp costs 1024 units, a hop one
+# stamp more, and 10**8 units are about half a second of products: a cyclic
+# graph asked for 10**9 hops fails at once
 MAX_PATH_COUNT_WORK = 10**8
-PATH_COUNT_STAMP_COST = 4096
+PATH_COUNT_STAMP_COST = 1024
 
 
 @dataclass(frozen=True)
@@ -382,6 +383,17 @@ def _bfs_batch(op: BlockMatrix, root_tns, starts) -> list[ReachedMap]:
     return out
 
 
+def path_count_hop_cost(op: BlockMatrix) -> int:
+    """Units of work in one product of ``count_temporal_paths``: one per
+    cell of the time x node blocks, which a hop passes over a few times
+    whatever their activity, one per same-slice edge, and
+    ``PATH_COUNT_STAMP_COST`` per time stamp, and once more per hop, for the
+    array calls made at each."""
+    graph = op.graph
+    return ((graph.num_nodes + PATH_COUNT_STAMP_COST) * graph.num_times
+            + len(graph.layout.indices) + PATH_COUNT_STAMP_COST)
+
+
 def count_temporal_paths(
     g, src: TemporalNodeLike, dst: TemporalNodeLike, hops: int
 ) -> int:
@@ -405,8 +417,7 @@ def count_temporal_paths(
         return 0
     blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
     blocks[graph.time_index(s_lab)][graph.node_id(s_node)] = 1
-    hop_cost = (op.num_active + len(graph.layout.indices)
-                + PATH_COUNT_STAMP_COST * graph.num_times)
+    hop_cost = path_count_hop_cost(op)
     for done in range(hops):
         if not any(blk.any() for blk in blocks):
             return 0  # every longer path count is zero too

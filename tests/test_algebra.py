@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -269,9 +270,7 @@ def test_count_paths_golden(demo):
         count_temporal_paths(demo, (1, 1), (3, 3), -1)
 
 
-def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
-    # the demo vector is zero after 4 products; a huge hop count must not
-    # keep multiplying
+def counted_products(monkeypatch) -> list:
     calls = []
     orig = BlockMatrix._matvec_blocks
 
@@ -280,15 +279,23 @@ def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
         return orig(self, blocks)
 
     monkeypatch.setattr(BlockMatrix, "_matvec_blocks", counting)
+    return calls
+
+
+def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
+    # the demo vector is zero after 4 products; a huge hop count must not
+    # keep multiplying
+    calls = counted_products(monkeypatch)
     assert count_temporal_paths(demo, (1, 1), (3, 3), 200_000) == 0
     assert len(calls) == 4
 
 
 def test_count_paths_work_budget(demo, monkeypatch):
     # a 2-node cycle keeps every count at 0 or 1, so only the budget stops it;
-    # each hop costs 2 active ids + 2 steps + one stamp
+    # each hop costs 2 x 1 block cells + 2 edges + one stamp + the hop's own
     cycle = build_graph([(1, 2, 1), (2, 1, 1)])
-    hop_cost = 4 + algebra.PATH_COUNT_STAMP_COST
+    hop_cost = 4 + 2 * algebra.PATH_COUNT_STAMP_COST
+    assert algebra.path_count_hop_cost(BlockMatrix(cycle)) == hop_cost
     monkeypatch.setattr(algebra, "MAX_PATH_COUNT_WORK", 1001 * hop_cost)
     assert count_temporal_paths(cycle, (1, 1), (2, 1), 1001) == 1
     with pytest.raises(TooLargeError, match="at most 1001 hops"):
@@ -302,12 +309,26 @@ def test_count_paths_work_budget(demo, monkeypatch):
     edges = [tuple(sorted(rng.sample(range(100), 2))) + (rng.randrange(5),) for _ in range(200)]
     g = build_graph(edges)
     hops = 2 * nilpotency_index(g)
-    hop_cost = (g.num_active() + len(g.layout.indices)
-                + algebra.PATH_COUNT_STAMP_COST * g.num_times)
-    assert hops * hop_cost < algebra.MAX_PATH_COUNT_WORK // 100
+    assert hops * algebra.path_count_hop_cost(BlockMatrix(g)) < algebra.MAX_PATH_COUNT_WORK // 100
     root = g.active_nodes()[0]
     for dst in g.active_nodes()[:5]:
         count_temporal_paths(g, root, dst, hops)  # within the budget: no TooLargeError
+
+
+def test_count_paths_budget_counts_every_block_cell(monkeypatch):
+    # a cycle beside a long path whose nodes are each active at one stamp of
+    # 40: a hop passes over 40 cells per node, active or not, so the budget
+    # must count cells, not active ids, to bound the time spent
+    times, nodes = 40, 20_000
+    g = build_graph([(1, 2, 0), (2, 1, 0)] + [(i, i + 1, i % times) for i in range(3, nodes)])
+    assert g.num_active() < 3 * nodes
+    calls = counted_products(monkeypatch)
+    start = perf_counter()
+    with pytest.raises(TooLargeError):
+        count_temporal_paths(g, (1, 0), (2, 0), 10**9)
+    assert len(calls) == algebra.MAX_PATH_COUNT_WORK // algebra.path_count_hop_cost(BlockMatrix(g))
+    assert len(calls) <= algebra.MAX_PATH_COUNT_WORK // (times * nodes)
+    assert perf_counter() - start < 10  # about 0.5 s on a 2-core VM; loose for a loaded one
 
 
 def test_count_paths_matches_walk_enumeration():

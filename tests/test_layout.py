@@ -8,8 +8,8 @@ import random
 import re
 import tracemalloc
 from pathlib import Path
-from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,7 +250,7 @@ def test_bulk_reader_agrees_with_line_scan(tmp_path_factory, data):
     assert outcome(bulk, path) == outcome(_scan_lines, path)
 
 
-def test_reader_cost_follows_file_size(tmp_path):
+def test_reader_cost_follows_file_size(tmp_path, monkeypatch):
     """10**4 short rows and one 64 KiB name: the reader's arrays hold a few
     words per field, so its peak stays within 16 times the file's size.  A
     reader that padded every field to the longest would need 2 GB here.  Two
@@ -268,9 +268,11 @@ def test_reader_cost_follows_file_size(tmp_path):
     assert peak < 16 * len(data), f"read_tsv peaked at {peak} bytes for a {len(data)}-byte file"
     name = b"y" * (1 << 20)
     path = write(tmp_path, "one long name twice", b"%s\tz\t1\n%s\tz\t2\n" % (name, name))
-    start = perf_counter()
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
     assert read_tsv(path).rows() == [(name.decode(), "z", 1), (name.decode(), "z", 2)]
-    assert perf_counter() - start < 1.0
+    assert len(sorts) <= 3
 
 
 @pytest.mark.parametrize("name", sorted(GOOD_FILES))
