@@ -1,21 +1,28 @@
 """Linear-algebra view of evolving-graph traversal.
 
-Stacking the slice adjacency matrices on a block diagonal and adding, for
-every ordered pair of times, a diagonal 0/1 block that marks nodes active at
-both times yields a block upper-triangular operator over temporal nodes.
-Repeated transpose products with that operator sweep out exactly the BFS
-frontiers, and the entries count temporal paths.
+Over the active temporal nodes, the paper's operator has a 1 at (a, b) when
+b follows a by one same-slice step or by one time jump, the same node at a
+later active stamp.  A static BFS on that matrix is the temporal BFS, and
+the entries of its k-th transpose power count the temporal paths of k hops.
 
-The operator is never materialized for products: each block matvec runs one
-sparse CSC matvec per slice plus a masked running sum for the time-jump
-blocks, which costs O(static edges + nodes * times).  Path counts use that
-exact int64 product.  Reachability only needs the nonzero pattern, so
-``algebraic_bfs_many`` runs a batch of roots as the columns of one 0/1 int32
-matrix: a level is one SpMM with the block diagonal of the transposed slices,
-a masked running OR for the time jumps and a complement mask for the visited
-cells, O(static edges + nodes * times) per root column.  ``algebraic_bfs`` is
-a batch of one.  ``dense`` and the Matrix Market export build the explicit
-matrix for inspection at small scale.
+``BlockMatrix`` holds that operator over active ids in node-major order:
+position p stands for the active id ``layout.node_aids[p]``, so the active
+stamps of each node form one contiguous run, in time order.  A transpose
+product is one sparse product with the same-slice steps plus an exclusive
+segmented scan over the runs for the time jumps: position p receives the sum
+of the entries before it in its run.  No inactive (time, node) cell is
+stored, and nothing loops over stamps.
+
+The operator serves two semirings.  Path counts (``count_temporal_paths``,
+``naive_sum_report``) use the int64 product, whose scan is one cumsum minus
+each run's base: O(active ids + steps) per hop.  Reachability
+(``algebraic_distances``) runs a batch of roots as the columns of one bool
+matrix: the scan is a running OR of log2(longest run) shifted ORs, and a
+level masks the product with the unvisited set, so a batch costs
+O(levels x (steps + active ids x log2 longest run) x batch width).
+``algebraic_bfs_many`` and ``algebraic_bfs`` decode its rows.  ``dense``
+and the Matrix Market export build the explicit matrix for inspection at
+small scale.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import (
+    InactiveRootError,
     PathCountOverflowError,
     ShapeError,
     TimeOrderError,
@@ -37,18 +45,16 @@ from .traversal import ReachedMap
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# cap on cells x roots in one batch of ``algebraic_bfs_many``: the frontier,
-# the product and the distance matrix of a batch each hold that many entries
+# cap on active ids x roots in one batch of ``algebraic_distances``: the
+# frontier, the product and the distance matrix of a batch each hold that
+# many entries
 _BATCH_CELLS = 1 << 20
 
 # ``count_temporal_paths`` raises TooLargeError rather than pass this many
-# units of work (see ``path_count_hop_cost``).  On a 2-core VM a hop took
-# 3.4-4.5 ns per block cell, up to 1 ns per edge, 4.2-4.4 us per stamp and
-# 2.4 us more for the hop itself, so a stamp costs 1024 units, a hop one
-# stamp more, and 10**8 units are about half a second of products: a cyclic
-# graph asked for 10**9 hops fails at once
+# units of work (see ``path_count_hop_cost``): an active id or a step costs
+# one unit, and a hop PATH_COUNT_HOP_COST more for its array calls
 MAX_PATH_COUNT_WORK = 10**8
-PATH_COUNT_STAMP_COST = 1024
+PATH_COUNT_HOP_COST = 2048
 
 
 @dataclass(frozen=True)
@@ -148,28 +154,104 @@ class BlockVector:
 
 
 class BlockMatrix:
-    """Block upper-triangular temporal adjacency of a graph.
+    """The temporal adjacency of a graph over its active ids.
 
-    Holds the CSC slice matrices and the per-time activity masks that define
-    the time-jump blocks implicitly.  ``matvec`` computes the transpose
-    product without materializing anything; ``dense`` builds the explicit
-    matrix, either restricted to active temporal nodes or over the full
-    node-by-time space.
+    Entries live at positions, not active ids: position p is
+    ``layout.node_aids[p]``, so each node's active stamps are one run of
+    consecutive positions.  The same-slice steps are a CSC over positions
+    whose column p lists the targets of p, so a product with it is the
+    transpose product; the time jumps are a scan over the runs (see
+    ``_reach`` and ``_count``).  ``matvec`` applies the operator to a
+    BlockVector; ``dense`` and ``to_coo`` build the explicit matrix, either
+    over active ids or over the full node-by-time space.
     """
 
     def __init__(self, g: EvolvingGraph):
+        lay = g.layout
+        a = len(lay.node)
         self.graph = g
-        self.slices = slice_matrices(g)
-        self._t_csr = [s.matrix.T.tocsr() for s in self.slices]
-        self.masks = [_active_mask(g, t) for t in range(g.num_times)]
-        self.num_active = g.num_active()
-        # worst-case fan-in of one output entry: slice in-degree plus one
-        # time-jump source per earlier active time
-        indeg = max(
-            (int(np.diff(s.matrix.indptr).max(initial=0)) for s in self.slices),
-            default=0,
-        )
-        self._amplification = max(indeg + max(g.num_times - 1, 0), 1)
+        self.num_active = a
+        self.num_steps = len(lay.indices)
+        # column p holds the CSR row of active id node_aids[p], moved to positions
+        deg = np.diff(lay.indptr)[lay.node_aids]
+        self._indptr = np.zeros(a + 1, dtype=np.int64)
+        np.cumsum(deg, out=self._indptr[1:])
+        take = np.arange(self.num_steps) + np.repeat(
+            lay.indptr[lay.node_aids] - self._indptr[:-1], deg)
+        self._targets = lay.pos[lay.indices[take]]
+        # first position of the run that holds each position
+        self._run_start = lay.node_ptr[lay.node[lay.node_aids]]
+        self._longest_run = int(np.diff(lay.node_ptr).max(initial=0))
+
+    def _steps(self, dtype) -> sp.csc_matrix:
+        import scipy.sparse as sp
+
+        a = self.num_active
+        return sp.csc_matrix((np.ones(self.num_steps, dtype=dtype), self._targets,
+                              self._indptr), shape=(a, a))
+
+    @cached_property
+    def _or_steps(self) -> sp.csc_matrix:
+        return self._steps(bool)
+
+    @cached_property
+    def _sum_steps(self) -> sp.csc_matrix:
+        return self._steps(np.int64)
+
+    @cached_property
+    def _shifts(self) -> list[tuple[int, np.ndarray]]:
+        """(d, same) per shifted OR of the reach scan: ``same[i]`` is True
+        when positions i and i + d hold stamps of one node.  The first shift
+        makes the scan exclusive; each later one doubles the span the scan
+        covers, until it covers the longest run."""
+        p = np.arange(self.num_active)
+        shifts = [1] if self._longest_run > 1 else []
+        d = 1
+        while d < self._longest_run - 1:
+            shifts.append(d)
+            d *= 2
+        return [(d, (self._run_start[d:] <= p[:-d])[:, None]) for d in shifts]
+
+    @cached_property
+    def _amplification(self) -> int:
+        """Worst-case fan-in of one output entry: its step in-degree plus one
+        time jump from each earlier stamp of its node."""
+        indeg = int(np.bincount(self._targets).max(initial=0))
+        return max(indeg + self._longest_run - 1, 1)
+
+    def _reach(self, front: np.ndarray) -> np.ndarray:
+        """Nonzero pattern of the transpose product of a bool matrix over
+        positions x columns: the steps are one bool SpMM, whose sums are
+        ORs, and the time jumps a running OR over each node's earlier
+        stamps."""
+        out = self._or_steps @ front
+        shifts = self._shifts
+        if shifts:
+            jump = np.zeros_like(front)
+            (_, same), *doubling = shifts
+            np.logical_and(front[:-1], same, out=jump[1:])
+            for d, same in doubling:
+                jump[d:] |= jump[:-d] & same
+            out |= jump
+        return out
+
+    def _count(self, x: np.ndarray) -> np.ndarray:
+        """Transpose product of an int64 vector over positions: the steps
+        are one sparse product, and the time jumps the sum of each node's
+        earlier stamps, read off one cumsum.  Raises PathCountOverflowError
+        when an entry could pass the int64 range."""
+        if int(x.max(initial=0)) > _INT64_MAX // self._amplification:
+            raise PathCountOverflowError(
+                "path counts would exceed the 64-bit integer range"
+            )
+        out = self._sum_steps @ x
+        # exclusive prefix sums; they may wrap, but their difference within
+        # one run is exact, because the guard above keeps it in range
+        before = np.cumsum(x)
+        before -= x
+        out += before
+        out -= before[self._run_start]
+        return out
 
     def _check(self, bv: BlockVector):
         g = self.graph
@@ -179,60 +261,18 @@ class BlockMatrix:
                 f"graph needs {g.num_times}x{g.num_nodes}"
             )
 
-    def _matvec_blocks(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
-        hi = max(int(blk.max(initial=0)) for blk in blocks)
-        if hi > _INT64_MAX // self._amplification:
-            raise PathCountOverflowError(
-                "path counts would exceed the 64-bit integer range"
-            )
-        out = []
-        carry = np.zeros(len(blocks[0]) if blocks else 0, dtype=np.int64)
-        for t, blk in enumerate(blocks):
-            res = self._t_csr[t] @ blk
-            res += carry * self.masks[t]
-            out.append(res)
-            carry = carry + blk * self.masks[t]
-        return out
-
-    @cached_property
-    def _slices_t(self) -> sp.csr_matrix:
-        """The transposed slices on one block diagonal over the (time, node)
-        cells, int32 to match the 0/1 frontier it multiplies."""
-        import scipy.sparse as sp
-
-        return sp.block_diag(self._t_csr, format="csr", dtype=np.int32)
-
-    @cached_property
-    def _mask_cols(self) -> np.ndarray:
-        return np.stack(self.masks).astype(bool)[:, :, None]
-
-    def _spread(self, front: np.ndarray) -> np.ndarray:
-        """Nonzero pattern of the transpose product of many 0/1 columns.
-
-        ``front`` is int32 of shape (times, nodes, columns) with its support
-        on active cells.  The same-slice blocks are one SpMM with
-        ``_slices_t``; the time-jump blocks are the running OR of the earlier
-        stamps, masked by activity at each stamp: the carry of
-        ``_matvec_blocks``.  Returns a bool array of the same shape.
-        """
-        nt, n, w = front.shape
-        out = (self._slices_t @ front.reshape(nt * n, w)).reshape(nt, n, w) > 0
-        carry = np.zeros((n, w), dtype=bool)
-        for t in range(1, nt):
-            np.logical_or(carry, front[t - 1], out=carry)
-            out[t] |= carry & self._mask_cols[t]
-        return out
-
     def matvec(self, bv: BlockVector) -> BlockVector:
         """Transpose product: block t of the result is (slice t)^T b_t plus
-        the masked sum of all earlier blocks."""
+        the masked sum of all earlier blocks.  Entries on inactive cells
+        are dropped."""
         self._check(bv)
-        return BlockVector(bv.keys, bv.labels, self._matvec_blocks(bv.blocks))
+        lay = self.graph.layout
+        cells = lay.time[lay.node_aids], lay.node[lay.node_aids]
+        out = np.zeros((bv.num_times, bv.num_nodes), dtype=np.int64)
+        out[cells] = self._count(np.stack(bv.blocks).astype(np.int64)[cells])
+        return BlockVector(bv.keys, bv.labels, list(out))
 
     # -- explicit forms ------------------------------------------------
-
-    def active_order(self) -> tuple[TemporalNode, ...]:
-        return tuple(self.graph.active_nodes())
 
     def to_coo(self, restricted: bool = True) -> sp.coo_matrix:
         """Every 1-entry: the same-slice steps in (time, source, target)
@@ -309,22 +349,64 @@ def algebraic_bfs(g, root: TemporalNodeLike) -> ReachedMap:
 
 
 def batch_width(g: EvolvingGraph) -> int:
-    """Roots per batch of :func:`algebraic_bfs_many` on ``g``: as many as
-    fit ``_BATCH_CELLS`` cells x roots, and at least one."""
-    return max(_BATCH_CELLS // max(g.num_nodes * g.num_times, 1), 1)
+    """Roots per batch of :func:`algebraic_distances` on ``g``: as many as
+    fit ``_BATCH_CELLS`` active ids x roots, and at least one."""
+    return max(_BATCH_CELLS // max(g.num_active(), 1), 1)
+
+
+def algebraic_distances(g, root_ids) -> np.ndarray:
+    """Hop distances from root active ids by masked block products.
+
+    Returns an int32 matrix with one row per root and one column per active
+    id, -1 where the root does not reach, as ``flatten.static_distances``
+    does.  The frontiers of a batch of ``batch_width`` roots are the columns
+    of one bool matrix; a level is one product (``BlockMatrix._reach``)
+    masked by the cells not yet seen, and a batch stops when no column found
+    anything new.  Accepts a graph or a prebuilt BlockMatrix.
+
+    Raises InactiveRootError for an id that is not an active id of the
+    graph, before any product.
+    """
+    op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
+    roots = np.asarray(root_ids, dtype=np.int64)
+    a = op.num_active
+    if len(roots) and not (0 <= roots.min() and roots.max() < a):
+        raise InactiveRootError(f"root ids must be active ids, 0 to {a - 1}")
+    width = batch_width(op.graph)
+    out = np.empty((len(roots), a), dtype=np.int32)
+    for lo in range(0, len(roots), width):
+        out[lo:lo + width] = _batch_distances(op, roots[lo:lo + width])
+    return out
+
+
+def _batch_distances(op: BlockMatrix, roots: np.ndarray) -> np.ndarray:
+    """``algebraic_distances`` of one batch, as a (roots x active ids) view."""
+    pos = op.graph.layout.pos
+    a = op.num_active
+    at, cols = pos[roots], np.arange(len(roots))
+    dist = np.full((a, len(roots)), -1, dtype=np.int32)
+    dist[at, cols] = 0
+    front = np.zeros(dist.shape, dtype=bool)
+    front[at, cols] = True
+    unseen = ~front
+    k = 0
+    while True:
+        k += 1
+        if k > a + 1:
+            raise RuntimeError("block traversal exceeded the active-node iteration bound")
+        front = op._reach(front)
+        front &= unseen
+        if not front.any():
+            return dist[pos].T
+        unseen ^= front
+        np.copyto(dist, k, where=front)
 
 
 def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
-    """Traversals from many roots at once, one masked product per level.
-
-    The frontiers of a batch of roots are the columns of one 0/1 matrix over
-    the (time, node) cells.  A level multiplies that matrix by the operator
-    (``BlockMatrix._spread``), clears every visited cell with a complement
-    mask and writes the level number into an int32 distance matrix; the
-    batch stops when no column found anything new.  A batch holds
-    ``batch_width(g)`` roots.  Accepts a graph or a
-    prebuilt BlockMatrix.  Returns one ReachedMap per root, in order, equal
-    to ``bfs`` in entries, entry order and iterations; it has no leaves.
+    """Traversals from many roots at once: the rows of
+    :func:`algebraic_distances`, decoded.  Accepts a graph or a prebuilt
+    BlockMatrix.  Returns one ReachedMap per root, in order, equal to
+    ``bfs`` in entries, entry order and iterations; it has no leaves.
 
     Raises InactiveRootError for an inactive or unknown root, before any
     product.
@@ -332,66 +414,28 @@ def algebraic_bfs_many(g, roots) -> list[ReachedMap]:
     op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
     graph = op.graph
     root_tns = [TemporalNode(*_as_pair(r)) for r in roots]
-    n = graph.num_nodes
-    starts = [t * n + v for t, v in map(graph.require_active, root_tns)]
-    width = batch_width(graph)
-    out = []
-    for lo in range(0, len(starts), width):
-        out.extend(_bfs_batch(op, root_tns[lo:lo + width], starts[lo:lo + width]))
-    return out
-
-
-def _bfs_batch(op: BlockMatrix, root_tns, starts) -> list[ReachedMap]:
-    g = op.graph
-    nt, n, w = g.num_times, g.num_nodes, len(starts)
-    cols = np.arange(w)
-    dist = np.full((nt * n, w), -1, dtype=np.int32)
-    dist[starts, cols] = 0
-    front = np.zeros((nt, n, w), dtype=np.int32)
-    front.reshape(nt * n, w)[starts, cols] = 1
-
-    bound = op.num_active + 1
-    k = 0
-    while True:
-        k += 1
-        if k > bound:
-            raise RuntimeError(
-                "block traversal exceeded the active-node iteration bound")
-        new = op._spread(front).reshape(nt * n, w)
-        new &= dist < 0
-        if not new.any():
-            break
-        dist[new] = k
-        front = new.reshape(nt, n, w).astype(np.int32)
-
-    # reached cells of every root in (root, distance, cell) order; a cell
-    # is time * n + node, so this is the (distance, time, node) entry order.
-    # Reached cells are active, and active ids follow the cell order.
-    root_of, cell = np.nonzero(dist.T >= 0)
-    d = dist[cell, root_of]
-    order = np.lexsort((cell, d, root_of))
-    lay = g.layout
-    aid = np.searchsorted(lay.time * n + lay.node, cell[order]).tolist()
-    d = d[order].tolist()
-    ends = np.cumsum(np.bincount(root_of, minlength=w)).tolist()
+    dist = algebraic_distances(op, [graph.active_id(tn) for tn in root_tns])
+    # reached ids of every root in (root, id) order, then stably in
+    # (root, distance, id) order: active ids follow (time, node) order, so
+    # that is the (distance, time, node) entry order
+    root_of, aid = np.nonzero(dist >= 0)
+    d = dist[root_of, aid]
+    order = np.lexsort((d, root_of))
+    aid, d = aid[order].tolist(), d[order].tolist()
+    ends = np.cumsum(np.bincount(root_of, minlength=len(root_tns))).tolist()
     out = []
     lo = 0
     for root_tn, hi in zip(root_tns, ends):
-        out.append(ReachedMap._from_ids(
-            g, root_tn, aid[lo:hi], d[lo:hi], d[hi - 1] + 1, ()))
+        out.append(ReachedMap._from_ids(graph, root_tn, aid[lo:hi], d[lo:hi], d[hi - 1] + 1, ()))
         lo = hi
     return out
 
 
 def path_count_hop_cost(op: BlockMatrix) -> int:
     """Units of work in one product of ``count_temporal_paths``: one per
-    cell of the time x node blocks, which a hop passes over a few times
-    whatever their activity, one per same-slice edge, and
-    ``PATH_COUNT_STAMP_COST`` per time stamp, and once more per hop, for the
-    array calls made at each."""
-    graph = op.graph
-    return ((graph.num_nodes + PATH_COUNT_STAMP_COST) * graph.num_times
-            + len(graph.layout.indices) + PATH_COUNT_STAMP_COST)
+    active id and per same-slice step, which a hop touches a few times
+    each, and ``PATH_COUNT_HOP_COST`` for the array calls of the hop."""
+    return op.num_active + op.num_steps + PATH_COUNT_HOP_COST
 
 
 def count_temporal_paths(
@@ -411,23 +455,24 @@ def count_temporal_paths(
         raise ValueError("hops must be nonnegative")
     op = g if isinstance(g, BlockMatrix) else BlockMatrix(g)
     graph = op.graph
-    s_node, s_lab = _as_pair(src)
-    d_node, d_lab = _as_pair(dst)
-    if not graph.is_active(s_node, s_lab) or not graph.is_active(d_node, d_lab):
+    try:
+        s, d = graph.active_id(src), graph.active_id(dst)
+    except InactiveRootError:
         return 0
-    blocks = [np.zeros(graph.num_nodes, dtype=np.int64) for _ in range(graph.num_times)]
-    blocks[graph.time_index(s_lab)][graph.node_id(s_node)] = 1
+    pos = graph.layout.pos
+    x = np.zeros(op.num_active, dtype=np.int64)
+    x[pos[s]] = 1
     hop_cost = path_count_hop_cost(op)
     for done in range(hops):
-        if not any(blk.any() for blk in blocks):
+        if not x.any():
             return 0  # every longer path count is zero too
         if (done + 1) * hop_cost > MAX_PATH_COUNT_WORK:
             raise TooLargeError(
                 f"{hops} hops at {hop_cost} units of work each exceed the path-count "
                 f"budget of {MAX_PATH_COUNT_WORK} units (at most "
                 f"{MAX_PATH_COUNT_WORK // hop_cost} hops on this graph)")
-        blocks = op._matvec_blocks(blocks)
-    return int(blocks[graph.time_index(d_lab)][graph.node_id(d_node)])
+        x = op._count(x)
+    return int(x[pos[d]])
 
 
 def dense_reference_matvec(g: EvolvingGraph, bv: BlockVector) -> BlockVector:
@@ -444,17 +489,12 @@ def dense_reference_matvec(g: EvolvingGraph, bv: BlockVector) -> BlockVector:
             f"{op.num_active} active temporal nodes exceed the dense guard of 5000"
         )
     op._check(bv)
-    order = op.active_order()
-    dense = op.dense(restricted=True)
-    x = np.array(
-        [bv.blocks[g.time_index(tn.time)][g.node_id(tn.node)] for tn in order],
-        dtype=np.int64,
-    )
-    y = dense.T @ x
-    out = BlockVector.zeros(g)
-    for val, tn in zip(y, order):
-        out.blocks[g.time_index(tn.time)][g.node_id(tn.node)] = val
-    return out
+    lay = g.layout
+    cells = lay.time, lay.node  # active ids in order
+    y = op.dense(restricted=True).T @ np.stack(bv.blocks).astype(np.int64)[cells]
+    out = np.zeros((g.num_times, g.num_nodes), dtype=np.int64)
+    out[cells] = y
+    return BlockVector(bv.keys, bv.labels, list(out))
 
 
 def write_matrix_market(g, fileobj, restricted: bool = True) -> None:
@@ -578,19 +618,21 @@ def naive_sum_report(g: EvolvingGraph, upto_label: int | None = None) -> NaiveSu
         max_hops = idx - 1
 
     op = BlockMatrix(g)
+    lay = g.layout
     n = g.num_nodes
     true = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        key = g.node_key(i)
-        if not g.is_active(key, first_lab):
-            continue
-        blocks = [np.zeros(n, dtype=np.int64) for _ in range(g.num_times)]
-        blocks[0][i] = 1
+    at_last = np.arange(lay.time_ptr[last], lay.time_ptr[last + 1])
+    last_nodes, last_pos = lay.node[at_last], lay.pos[at_last]
+    # the sources are the active ids at the first stamp
+    for a in range(int(lay.time_ptr[1])):
+        i = int(lay.node[a])
+        x = np.zeros(op.num_active, dtype=np.int64)
+        x[lay.pos[a]] = 1
         if last == 0:
             true[i, i] += 1  # the single-node path
         for _ in range(max_hops):
-            blocks = op._matvec_blocks(blocks)
-            true[i, :] += blocks[last]
+            x = op._count(x)
+            true[i, last_nodes] += x[last_pos]
     rows = []
     for i in range(n):
         for j in range(n):

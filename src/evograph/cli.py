@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -73,63 +73,47 @@ def verify_graph(g: EvolvingGraph):
     description names a pair of engines that disagree from one root and the
     first temporal node, in entry order, where their distances differ.
 
-    The engines are compared as int32 distance rows over active ids, -1 for
-    unreached: ``traversal.bfs`` and ``algebra.algebraic_bfs_many`` results
-    are read through ``ReachedMap.encoded`` and the expansion's through
-    ``flatten.static_distances``, so no result is decoded into temporal
-    nodes; only the first differing id of a mismatch is.  Roots go in the
-    algebra's batches, so each batch holds O(batch width x active ids).
+    Every engine takes a batch of root active ids and returns an int32
+    distance matrix over active ids, -1 for unreached
+    (``traversal.distances``, ``flatten.static_distances`` and
+    ``algebra.algebraic_distances``), so no root and no result is decoded
+    into temporal nodes; only the root and the first differing id of a
+    mismatch are, for its message.  Roots go in the algebra's batches, so
+    each batch holds O(batch width x active ids).
     """
     x = flatten.expand(g)
     op = algebra.BlockMatrix(g)
-    roots = g.active_nodes()
-    n_active = len(roots)
+    n_active = g.num_active()
     width = algebra.batch_width(g)
     bad = []
     for lo in range(0, n_active, width):
-        batch = roots[lo:lo + width]
+        roots = range(lo, min(lo + width, n_active))
         runs = (
-            ("traversal", *_rows(g, [traversal.bfs(g, root) for root in batch])),
-            # the expansion's entry order is its rows' (distance, id) order
-            ("expansion", [None] * len(batch),
-             flatten.static_distances(x, range(lo, lo + len(batch)))),
-            ("algebra", *_rows(g, algebra.algebraic_bfs_many(op, batch))),
+            ("traversal", traversal.distances(g, roots)),
+            ("expansion", flatten.static_distances(x, roots)),
+            ("algebra", algebra.algebraic_distances(op, roots)),
         )
-        rows = [run[2] for run in runs]
+        rows = [run[1] for run in runs]
         agree = ((rows[0] == rows[1]) & (rows[1] == rows[2])).all(axis=1)
         for i in np.flatnonzero(~agree).tolist():
-            for (name1, o1, d1), (name2, o2, d2) in combinations(runs, 2):
+            root = g.temporal_nodes([lo + i])[0]
+            for (name1, d1), (name2, d2) in combinations(runs, 2):
                 r1, r2 = d1[i], d2[i]
                 if not np.array_equal(r1, r2):
-                    a = _first_difference(o1[i], r1, o2[i], r2)
-                    bad.append(f"root {batch[i]}: {name1}/{name2} disagree at "
+                    a = _first_difference(r1, r2)
+                    bad.append(f"root {root}: {name1}/{name2} disagree at "
                                f"{g.temporal_nodes([a])[0]}: distance "
                                f"{_shown(r1[a])} vs {_shown(r2[a])}")
     return n_active, bad
 
 
-def _rows(g: EvolvingGraph, maps) -> tuple[list, np.ndarray]:
-    """Each map's active ids in entry order, and an int32 matrix of their
-    distances, one row per map and one column per active id, -1 for
-    unreached."""
-    orders, dists = zip(*(rm.encoded(g) for rm in maps))
-    out = np.full((len(maps), g.num_active()), -1, dtype=np.int32)
-    lengths = np.fromiter(map(len, orders), dtype=np.int64, count=len(orders))
-    out[np.repeat(np.arange(len(maps)), lengths),
-        np.fromiter(chain.from_iterable(orders), dtype=np.int64)] = \
-        np.fromiter(chain.from_iterable(dists), dtype=np.int32)
-    return orders, out
-
-
-def _first_difference(order1, row1, order2, row2) -> int:
+def _first_difference(row1, row2) -> int:
     """First active id in the entry order of ``row1``, then of ``row2``,
-    whose distance differs between the two rows.  An order of None is the
-    (distance, active id) order of its row's reached ids."""
-    for order, row in ((order1, row1), (order2, row2)):
-        if order is None:
-            reached = np.flatnonzero(row >= 0)
-            order = reached[np.argsort(row[reached], kind="stable")]
-        order = np.asarray(order, dtype=np.int64)
+    whose distance differs between the two rows.  A row's entry order is
+    the (distance, active id) order of its reached ids."""
+    for row in (row1, row2):
+        reached = np.flatnonzero(row >= 0)
+        order = reached[np.argsort(row[reached], kind="stable")]
         differs = row1[order] != row2[order]
         if differs.any():
             return int(order[differs.argmax()])

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
+from .errors import InactiveRootError
 from .traversal import ReachedMap
 
 
@@ -101,8 +102,13 @@ def static_distances(x: StaticExpansion, roots) -> np.ndarray:
     BFS: the roots' frontiers are the columns of a bool matrix, and a level
     is one bool SpMM with the transposed CSR (whose sums are ORs), masked by
     the cells not yet seen.
+
+    Raises InactiveRootError for an id that is not an active id of the
+    graph, before any product.
     """
     roots = np.asarray(roots, dtype=np.int64)
+    if len(roots) and not (0 <= roots.min() and roots.max() < x.num_nodes):
+        raise InactiveRootError(f"root ids must be active ids, 0 to {x.num_nodes - 1}")
     cols = np.arange(len(roots))
     dist = np.full((x.num_nodes, len(roots)), -1, dtype=np.int32)
     dist[roots, cols] = 0

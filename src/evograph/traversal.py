@@ -11,9 +11,13 @@ reached.  Each entry is scanned at most once, so the jump work is linear in
 active temporal nodes.  The hot loop reads tuples of ints made once per graph;
 the result builds its user-facing entries on first read and its leaves on
 their own first read, so timing the traversal times the traversal.
+``distances`` runs the same search from a batch of root active ids into an
+int32 matrix, and ``distance`` reads one entry of its distance list.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .core import EvolvingGraph, TemporalNode, TemporalNodeLike, _as_pair
 from .errors import InactiveRootError
@@ -129,8 +133,40 @@ def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
     iteration order are deterministic.
     """
     root_tn = TemporalNode(*_as_pair(root))
-    root_id = g.active_id(root_tn)
+    _, order, dists, iterations, leaf_ids = _search(g, g.active_id(root_tn))
+    return ReachedMap._from_ids(g, root_tn, order, dists, iterations, leaf_ids)
 
+
+def distances(g: EvolvingGraph, root_ids) -> np.ndarray:
+    """Hop distances from root active ids, one :func:`bfs` each.
+
+    Returns an int32 matrix with one row per root and one column per active
+    id, -1 where the root does not reach, as ``flatten.static_distances``
+    does.  Nothing is decoded into temporal nodes, and only the reached
+    entries are copied into the matrix.
+
+    Raises InactiveRootError for an id that is not an active id of ``g``,
+    before any search.
+    """
+    a = g.num_active()
+    if len(root_ids) and not (0 <= min(root_ids) and max(root_ids) < a):
+        raise InactiveRootError(f"root ids must be active ids, 0 to {a - 1}")
+    ids, dists, lengths = [], [], []
+    for root_id in root_ids:
+        _, order, dist, _, _ = _search(g, root_id)
+        ids += order
+        dists += dist
+        lengths.append(len(order))
+    out = np.full((len(lengths), a), -1, dtype=np.int32)
+    out[np.repeat(np.arange(len(lengths)), lengths), ids] = dists
+    return out
+
+
+def _search(g: EvolvingGraph, root_id: int):
+    """The BFS from one active id: (dist, order, dists, iterations,
+    leaf_ids), where ``dist`` is the distance of every active id, -1 for
+    unreached, and ``order`` and ``dists`` list the reached ids and their
+    distances in entry order."""
     lay = g.layout_lists
     indptr, indices = lay.indptr, lay.indices
     node, node_ptr, node_aids, pos = lay.node, lay.node_ptr, lay.node_aids, lay.pos
@@ -173,21 +209,22 @@ def bfs(g: EvolvingGraph, root: TemporalNodeLike) -> ReachedMap:
         order.extend(nxt)
         dists.extend([k] * len(nxt))
         frontier = nxt
-
-    return ReachedMap._from_ids(g, root_tn, order, dists, iterations, leaf_ids)
+    return dist, order, dists, iterations, leaf_ids
 
 
 def distance(g: EvolvingGraph, src: TemporalNodeLike, dst: TemporalNodeLike) -> int | None:
     """Fewest hops on a temporal path from src to dst, or None.
 
-    An inactive src reaches nothing, not even itself.
+    An inactive src reaches nothing, not even itself.  The target is looked
+    up by its active id in the search's own distances, so no reached entry
+    is decoded.
     """
     try:
-        rm = bfs(g, src)
+        root_id, target = g.active_id(src), g.active_id(dst)
     except InactiveRootError:
         return None
-    node, lab = _as_pair(dst)
-    return rm.entries.get(TemporalNode(node, lab))
+    d = _search(g, root_id)[0][target]
+    return None if d < 0 else d
 
 
 def is_reachable(g: EvolvingGraph, src: TemporalNodeLike, dst: TemporalNodeLike) -> bool:

@@ -25,6 +25,7 @@ from evograph.algebra import (
     BlockVector,
     algebraic_bfs,
     algebraic_bfs_many,
+    algebraic_distances,
     causal_propagate,
     count_temporal_paths,
     dense_reference_matvec,
@@ -36,8 +37,9 @@ from evograph.algebra import (
     write_matrix_market,
 )
 from evograph import algebra
+from evograph.flatten import expand, static_bfs, static_distances
 from evograph.generator import random_graph
-from tests_util import dag_slice_triples, random_spec, triples_of
+from tests_util import dag_slice_triples, random_spec, triples_of, wide_sparse_rows
 
 TN = TemporalNode
 
@@ -231,18 +233,17 @@ def test_algebraic_bfs_many_equals_bfs(directed):
 @pytest.mark.parametrize("roots_per_batch", [1, 3])
 def test_algebraic_bfs_many_across_batches(monkeypatch, roots_per_batch):
     batches = 0
-    real = algebra._bfs_batch
+    real = algebra._batch_distances
 
     def counting(*args):
         nonlocal batches
         batches += 1
         return real(*args)
 
-    monkeypatch.setattr(algebra, "_bfs_batch", counting)
+    monkeypatch.setattr(algebra, "_batch_distances", counting)
     for i in range(10):
         g = random_graph(random_spec(1900 + i, max_nodes=12))
-        monkeypatch.setattr(algebra, "_BATCH_CELLS",
-                            roots_per_batch * g.num_nodes * g.num_times)
+        monkeypatch.setattr(algebra, "_BATCH_CELLS", roots_per_batch * g.num_active())
         batches = 0
         roots = g.active_nodes()
         _same_as_bfs(g, algebraic_bfs_many(g, roots))
@@ -253,7 +254,7 @@ def test_algebraic_bfs_many_rejects_a_bad_root_before_any_product(demo, monkeypa
     def no_product(self, front):
         raise AssertionError("a product ran before the roots were checked")
 
-    monkeypatch.setattr(BlockMatrix, "_spread", no_product)
+    monkeypatch.setattr(BlockMatrix, "_reach", no_product)
     for bad in ((3, 1), (99, 7), (1, 99)):
         with pytest.raises(InactiveRootError):
             algebraic_bfs_many(demo, [(1, 1), (2, 3), bad])
@@ -272,13 +273,13 @@ def test_count_paths_golden(demo):
 
 def counted_products(monkeypatch) -> list:
     calls = []
-    orig = BlockMatrix._matvec_blocks
+    orig = BlockMatrix._count
 
-    def counting(self, blocks):
+    def counting(self, x):
         calls.append(1)
-        return orig(self, blocks)
+        return orig(self, x)
 
-    monkeypatch.setattr(BlockMatrix, "_matvec_blocks", counting)
+    monkeypatch.setattr(BlockMatrix, "_count", counting)
     return calls
 
 
@@ -292,9 +293,9 @@ def test_count_paths_stops_once_the_vector_vanishes(demo, monkeypatch):
 
 def test_count_paths_work_budget(demo, monkeypatch):
     # a 2-node cycle keeps every count at 0 or 1, so only the budget stops it;
-    # each hop costs 2 x 1 block cells + 2 edges + one stamp + the hop's own
+    # each hop costs 2 active ids + 2 steps + the hop's own array calls
     cycle = build_graph([(1, 2, 1), (2, 1, 1)])
-    hop_cost = 4 + 2 * algebra.PATH_COUNT_STAMP_COST
+    hop_cost = 4 + algebra.PATH_COUNT_HOP_COST
     assert algebra.path_count_hop_cost(BlockMatrix(cycle)) == hop_cost
     monkeypatch.setattr(algebra, "MAX_PATH_COUNT_WORK", 1001 * hop_cost)
     assert count_temporal_paths(cycle, (1, 1), (2, 1), 1001) == 1
@@ -315,20 +316,23 @@ def test_count_paths_work_budget(demo, monkeypatch):
         count_temporal_paths(g, root, dst, hops)  # within the budget: no TooLargeError
 
 
-def test_count_paths_budget_counts_every_block_cell(monkeypatch):
-    # a cycle beside a long path whose nodes are each active at one stamp of
-    # 40: a hop passes over 40 cells per node, active or not, so the budget
-    # must count cells, not active ids, to bound the time spent
+def test_count_paths_budget_counts_what_a_hop_touches(monkeypatch):
+    # a cycle beside a long path whose nodes are each active at one or two
+    # stamps of 40: a hop touches every active id and every step, so the
+    # budget counts those, and a hop's cost does not grow with the stamps
     times, nodes = 40, 20_000
     g = build_graph([(1, 2, 0), (2, 1, 0)] + [(i, i + 1, i % times) for i in range(3, nodes)])
     assert g.num_active() < 3 * nodes
+    op = BlockMatrix(g)
+    assert algebra.path_count_hop_cost(op) == (
+        g.num_active() + len(g.layout.indices) + algebra.PATH_COUNT_HOP_COST)
     calls = counted_products(monkeypatch)
     start = perf_counter()
     with pytest.raises(TooLargeError):
         count_temporal_paths(g, (1, 0), (2, 0), 10**9)
-    assert len(calls) == algebra.MAX_PATH_COUNT_WORK // algebra.path_count_hop_cost(BlockMatrix(g))
-    assert len(calls) <= algebra.MAX_PATH_COUNT_WORK // (times * nodes)
-    assert perf_counter() - start < 10  # about 0.5 s on a 2-core VM; loose for a loaded one
+    assert len(calls) == algebra.MAX_PATH_COUNT_WORK // algebra.path_count_hop_cost(op)
+    assert len(calls) <= algebra.MAX_PATH_COUNT_WORK // (g.num_active() + len(g.layout.indices))
+    assert perf_counter() - start < 10  # about 0.3 s on a 2-core VM; loose for a loaded one
 
 
 def test_count_paths_matches_walk_enumeration():
@@ -356,6 +360,137 @@ def test_count_paths_overflow_guard():
     assert count_temporal_paths(g, (0, 1), (1, 1), 3) > 0
     with pytest.raises(PathCountOverflowError):
         count_temporal_paths(g, (0, 1), (1, 1), 20)
+
+
+def test_count_paths_overflow_guard_counts_time_jumps():
+    # a 2-node cycle at each of 64 stamps: most of a count arrives by time
+    # jumps, so a guard that counted only step in-degrees would let it wrap
+    rows = [(u, v, t) for t in range(64) for u, v in ((1, 2), (2, 1))]
+    g = build_graph(rows)
+    op = BlockMatrix(g)
+    adj = oracles.expansion_adjacency(rows)
+    vec = {(1, 0): 1}  # exact counts in Python ints
+    dst = (2, 63)
+    for hops in range(1, 40):
+        nxt = {}
+        for x, c in vec.items():
+            for y in adj[x]:
+                nxt[y] = nxt.get(y, 0) + c
+        vec = nxt
+        try:
+            got = count_temporal_paths(op, (1, 0), dst, hops)
+        except PathCountOverflowError:
+            break
+        assert got == vec.get(dst, 0), hops
+    else:
+        pytest.fail("the counts never reached the guard")
+    assert max(vec.values()) > 2**40
+
+
+# one node active at each of these stamp counts covers every shift of the
+# reach scan: its first shift makes the scan exclusive, and each later one
+# doubles the span it covers (1, 2, 4, 8 earlier stamps)
+SCAN_RUNS = (1, 2, 3, 4, 5, 8, 9, 17)
+
+
+def scan_case_rows(k: int) -> list:
+    """Node 0 active at exactly k of 20 stamps, a cycle among nodes 1-3
+    across those stamps, and two nodes with no active stamp at all, one
+    with the smallest and one with the largest key."""
+    rng = random.Random(k)
+    stamps = sorted(rng.sample(range(20), k))
+    rows = [(0, 1 + i % 3, t) for i, t in enumerate(stamps)]
+    rows += [(1, 2, stamps[0]), (2, 3, stamps[-1]), (3, 1, stamps[k // 2]), (2, 0, stamps[-1])]
+    return rows + [(-1, -1, stamps[0]), (99, 99, 25)]
+
+
+def scan_cases():
+    for k in SCAN_RUNS:
+        for directed in (True, False):
+            yield f"run of {k}", directed, scan_case_rows(k)
+    for directed in (True, False):
+        yield "single stamp", directed, [(1, 2, 5), (2, 3, 5), (3, 1, 5), (4, 4, 5)]
+
+
+def test_scan_edge_cases_agree_three_ways_and_with_walk_counts():
+    for name, directed, rows in scan_cases():
+        g = build_graph(rows, directed=directed)
+        actives = g.active_nodes()
+        assert g.num_nodes > len({tn.node for tn in actives})  # idle nodes
+        op = BlockMatrix(g)
+        x = expand(g)
+        many = algebraic_bfs_many(op, actives)
+        for root, rm in zip(actives, many):
+            want = bfs(g, root)
+            for got in (rm, static_bfs(x, root), algebraic_bfs(op, root)):
+                assert list(got.entries.items()) == list(want.entries.items()), (name, root)
+                assert got.iterations == want.iterations, (name, root)
+        for src in actives:
+            counts = oracles.walk_counts(rows, directed, src.node, src.time, 4)
+            bv = BlockVector.unit(g, src)
+            for hops in range(5):
+                want = {TN(*dst): c for (dst, h), c in counts.items() if h == hops}
+                assert bv.nonzeros() == want, (name, src, hops)
+                dst = max(want, key=want.get, default=src)
+                assert count_temporal_paths(op, src, dst, hops) == want.get(dst, 0)
+                bv = op.matvec(bv)
+
+
+def test_a_graph_with_no_active_node():
+    g = build_graph([(1, 1, 1), (2, 2, 3)])
+    assert g.num_active() == 0
+    assert algebraic_distances(g, []).shape == (0, 0)
+    assert algebraic_bfs_many(g, []) == []
+    assert count_temporal_paths(g, (1, 1), (1, 1), 2) == 0
+    assert BlockMatrix(g).matvec(BlockVector.zeros(g)).is_zero()
+
+
+def test_algebraic_distances_equal_the_expansion_and_bfs():
+    for i in range(20):
+        g = random_graph(random_spec(2200 + i))
+        ids = range(g.num_active())
+        dist = algebraic_distances(g, ids)
+        assert dist.dtype == np.int32 and dist.shape == (g.num_active(), g.num_active())
+        assert (dist == static_distances(expand(g), ids)).all()
+        for a, root in enumerate(g.active_nodes()):
+            order, dists = bfs(g, root).encoded(g)
+            want = np.full(g.num_active(), -1)
+            want[order] = dists
+            assert (dist[a] == want).all()
+
+
+def test_algebraic_distances_reject_a_bad_id_before_any_product(demo, monkeypatch):
+    def no_product(self, front):
+        raise AssertionError("a product ran before the roots were checked")
+
+    monkeypatch.setattr(BlockMatrix, "_reach", no_product)
+    for bad in ([0, 6], [-1], [3, 99]):
+        with pytest.raises(InactiveRootError):
+            algebraic_distances(demo, bad)
+
+
+def test_a_wide_sparse_graph_counts_paths(monkeypatch):
+    # 10**5 nodes x 10**3 stamps registered by self-loops, about 2000 active
+    # ids among the first 400 nodes: 10**8 cells, as many units as the whole
+    # budget, but a hop touches only the active ids and the steps
+    rows, loops = wide_sparse_rows()
+    g = build_graph(rows + loops)
+    small = build_graph(rows)
+    assert (g.num_nodes, g.num_times) == (100_000, 1000)
+    assert g.num_nodes * g.num_times >= algebra.MAX_PATH_COUNT_WORK
+    assert 1800 < g.num_active() == small.num_active() < 2100
+    op = BlockMatrix(g)
+    assert algebra.path_count_hop_cost(op) < algebra.MAX_PATH_COUNT_WORK // 10**4
+    calls = counted_products(monkeypatch)
+    # the earliest sources have the most later stamps to jump to
+    for src in small.active_nodes()[:3]:
+        walks = oracles.walk_counts(rows, True, src.node, src.time, 4)
+        assert any(hops == 4 for _, hops in walks)
+        for (dst, hops), want in walks.items():
+            del calls[:]
+            assert count_temporal_paths(op, src, dst, hops) == want, (src, dst, hops)
+            assert len(calls) == hops
+            assert count_temporal_paths(small, src, dst, hops) == want
 
 
 def test_naive_path_sum_golden(demo):

@@ -8,13 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from evograph import EvographError, algebra, flatten, generator, traversal
+from evograph import EvographError, algebra, build_graph, flatten, generator, traversal
 from evograph.algebra import BlockMatrix
 from evograph.cli import demo_graph, geometric_sizes, main, run_bench, verify_graph
 from evograph.core import EvolvingGraph, TemporalNode
 from evograph.generator import GenSpec, random_graph
-from evograph.traversal import ReachedMap
-from tests_util import random_spec
+from tests_util import random_spec, wide_sparse_rows
 
 DEMO_TSV = "# demo\n1\t2\t1\n1\t3\t2\n2\t3\t3\n"
 
@@ -52,16 +51,52 @@ def test_count_paths_past_its_budget_exits_1(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cycle.tsv"
     path.write_text("1\t2\t1\n2\t1\t1\n", encoding="utf-8")
     products = []
-    matvec = BlockMatrix._matvec_blocks
-    monkeypatch.setattr(BlockMatrix, "_matvec_blocks",
-                        lambda self, blocks: products.append(1) or matvec(self, blocks))
+    count = BlockMatrix._count
+    monkeypatch.setattr(BlockMatrix, "_count",
+                        lambda self, x: products.append(1) or count(self, x))
     assert main(["count-paths", str(path), "--from", "1@1", "--to", "2@1",
                  "--hops", "1000000000"]) == 1
-    assert len(products) == algebra.MAX_PATH_COUNT_WORK // (4 + 2 * algebra.PATH_COUNT_STAMP_COST)
+    assert len(products) == algebra.MAX_PATH_COUNT_WORK // (4 + algebra.PATH_COUNT_HOP_COST)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "budget" in captured.err
+
+
+def test_count_paths_answers_on_a_wide_sparse_graph(tmp_path, capsys):
+    # 10**5 nodes x 10**3 stamps with about 2000 active ids: a hop costs
+    # what it touches, so even many hops stay far inside the budget
+    rows, loops = wide_sparse_rows()
+    path = tmp_path / "wide.tsv"
+    path.write_text("".join(f"{u}\t{v}\t{t}\n" for u, v, t in rows + loops),
+                    encoding="utf-8")
+    g = build_graph(rows)
+    src = g.active_nodes()[0]
+    name = f"{src.node}@{src.time}"
+    for hops, dst in ((1, g.forward_neighbors(src)[-1]), (2, g.active_nodes()[-1])):
+        assert main(["count-paths", str(path), "--from", name,
+                     "--to", f"{dst.node}@{dst.time}", "--hops", str(hops)]) == 0
+        want = algebra.count_temporal_paths(g, src, dst, hops)
+        assert capsys.readouterr().out == f"{want}\n"
+        assert want or hops == 2
+    assert main(["count-paths", str(path), "--from", name, "--to", name,
+                 "--hops", "1000"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_distance_output_matches_bfs(tmp_path, capsys):
+    g = random_graph(GenSpec(15, 4, 40, seed=11))
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"{e.src}\t{e.dst}\t{e.time}\n" for e in g.edges()),
+                    encoding="utf-8")
+    actives = g.active_nodes()
+    for src in actives[::5]:
+        reached = traversal.bfs(g, src).entries
+        for dst in actives[::3] + [TemporalNode(src.node, 99)]:
+            assert main(["distance", str(path), "--from", f"{src.node}@{src.time}",
+                         "--to", f"{dst.node}@{dst.time}"]) == 0
+            d = reached.get(dst)
+            assert capsys.readouterr().out == ("unreachable" if d is None else f"{d}") + "\n"
 
 
 def test_bfs_mid_root(demo_file, capsys):
@@ -119,16 +154,15 @@ def test_verify_random(capsys):
 
 
 def test_verify_names_a_dropped_entry(monkeypatch, demo_file, capsys):
-    real = algebra.algebraic_bfs_many
+    real = algebra.algebraic_distances
 
-    def dropping(g, roots):
-        maps = real(g, roots)
-        entries = dict(maps[0].entries)
-        del entries[next(tn for tn in entries if tn.node == 3)]
-        maps[0] = ReachedMap(maps[0].root, entries, maps[0].iterations)
-        return maps
+    def dropping(op, roots):
+        dist = real(op, roots).copy()
+        # the first root's first entry of node 3: (3@2), at distance 2
+        dist[0, op.graph.active_id((3, 2))] = -1
+        return dist
 
-    monkeypatch.setattr(algebra, "algebraic_bfs_many", dropping)
+    monkeypatch.setattr(algebra, "algebraic_distances", dropping)
     assert verify_graph(demo_graph()) == (6, [
         "root (1@1): traversal/algebra disagree at (3@2): distance 2 vs unreached",
         "root (1@1): expansion/algebra disagree at (3@2): distance 2 vs unreached",
@@ -139,15 +173,14 @@ def test_verify_names_a_dropped_entry(monkeypatch, demo_file, capsys):
 
 
 def test_verify_names_a_shifted_distance(monkeypatch):
-    real = traversal.bfs
+    real = traversal.distances
 
-    def shifting(g, root):
-        entries = dict(real(g, root).entries)
-        last = list(entries)[-1]
-        entries[last] += 1
-        return ReachedMap(root, entries)
+    def shifting(g, roots):
+        dist = real(g, roots)
+        dist[0, dist[0].argmax()] += 1  # the first root's last entry, (3@3)
+        return dist
 
-    monkeypatch.setattr(traversal, "bfs", shifting)
+    monkeypatch.setattr(traversal, "distances", shifting)
     _, bad = verify_graph(demo_graph())
     assert bad[:2] == [
         "root (1@1): traversal/expansion disagree at (3@3): distance 4 vs 3",
@@ -191,9 +224,9 @@ def test_verify_decodes_only_the_roots(monkeypatch):
     monkeypatch.setattr(TemporalNode, "__init__", counted_init)
 
     assert verify_graph(g) == (n_active, [])
-    # one decode, of the roots; each engine then builds its own root
-    assert decoded == [n_active]
-    assert len(built) <= 3 * n_active < reached
+    # every engine takes and returns active ids: nothing is decoded
+    assert decoded == [] and built == []
+    assert reached > n_active
 
     decoded.clear()
     built.clear()
@@ -209,7 +242,7 @@ def test_verify_memory_is_bounded_by_the_batch(monkeypatch):
     g = random_graph(GenSpec(3000, 2, 1800, seed=3, directed=False))
     n_active = g.num_active()
     assert n_active >= 2000
-    monkeypatch.setattr(algebra, "_BATCH_CELLS", 8 * g.num_nodes * g.num_times)
+    monkeypatch.setattr(algebra, "_BATCH_CELLS", 8 * n_active)
     tracemalloc.start()
     try:
         result = verify_graph(g)
@@ -223,7 +256,7 @@ def test_verify_memory_is_bounded_by_the_batch(monkeypatch):
 
 @pytest.mark.parametrize("roots_per_batch", [None, 4])
 def test_verify_runs_one_product_per_level_per_batch(monkeypatch, roots_per_batch):
-    calls = {"_spread": 0, "_matvec_blocks": 0}
+    calls = {"_reach": 0, "_count": 0}
     for name in calls:
         real = getattr(BlockMatrix, name)
 
@@ -238,15 +271,14 @@ def test_verify_runs_one_product_per_level_per_batch(monkeypatch, roots_per_batc
     width = len(roots)
     if roots_per_batch is not None:
         width = roots_per_batch
-        monkeypatch.setattr(algebra, "_BATCH_CELLS",
-                            width * g.num_nodes * g.num_times)
+        monkeypatch.setattr(algebra, "_BATCH_CELLS", width * g.num_active())
     depth = [traversal.bfs(g, r).iterations for r in roots]
     assert verify_graph(g) == (len(roots), [])
     # the deepest root of each batch sets that batch's number of levels
-    assert calls["_spread"] == sum(max(depth[i:i + width])
-                                   for i in range(0, len(roots), width))
-    assert calls["_spread"] < sum(depth)
-    assert calls["_matvec_blocks"] == 0
+    assert calls["_reach"] == sum(max(depth[i:i + width])
+                                  for i in range(0, len(roots), width))
+    assert calls["_reach"] < sum(depth)
+    assert calls["_count"] == 0
 
 
 def test_demo_naive_sum(capsys):

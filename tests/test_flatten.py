@@ -121,3 +121,10 @@ def test_write_edge_list_golden(demo):
         "2@1\t2@3\tCAUSAL\n"
         "3@2\t3@3\tCAUSAL\n"
     )
+
+
+def test_static_distances_reject_a_bad_id(demo):
+    x = expand(demo)
+    for bad in ([0, 6], [-1]):
+        with pytest.raises(InactiveRootError):
+            static_distances(x, bad)

@@ -258,3 +258,38 @@ def test_temporal_nodes_are_built_only_when_read(monkeypatch):
     rep = community_report(cites, "E", 3)
     assert len(rep.entries) == 6 and len(rep.community) == 5
     assert len(built) == 1
+
+
+def test_distance_decodes_no_reached_entry(monkeypatch):
+    g = random_graph(random_spec(13, max_nodes=12, max_times=8, density=5.0))
+    actives = g.active_nodes()
+    want = {(src, dst): bfs(g, src).entries.get(dst) for src in actives for dst in actives}
+    assert sum(d is not None for d in want.values()) > 2 * len(actives)
+    built = []
+    init = TemporalNode.__init__
+
+    def counted_init(self, node, time):
+        built.append(1)
+        init(self, node, time)
+
+    monkeypatch.setattr(TemporalNode, "__init__", counted_init)
+    monkeypatch.setattr(EvolvingGraph, "temporal_nodes",
+                        lambda self, aids: pytest.fail("distance decoded entries"))
+    for (src, dst), d in want.items():
+        assert distance(g, src, dst) == d
+        assert is_reachable(g, src, dst) == (d is not None)
+    assert distance(g, actives[0], (actives[0].node, 10**6)) is None
+    assert built == []
+
+
+def test_distances_are_bfs_rows_and_reject_a_bad_id(demo):
+    ids = range(demo.num_active())
+    dist = traversal.distances(demo, ids)
+    assert dist.dtype == np.int32 and dist.shape == (6, 6)
+    for a, root in enumerate(demo.active_nodes()):
+        order, dists = bfs(demo, root).encoded(demo)
+        assert sorted(zip(order, dists)) == [(b, int(d)) for b, d in enumerate(dist[a]) if d >= 0]
+    assert traversal.distances(demo, []).shape == (0, 6)
+    for bad in ([0, 6], [-1]):
+        with pytest.raises(InactiveRootError):
+            traversal.distances(demo, bad)

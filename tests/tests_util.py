@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from evograph.generator import GenSpec
@@ -42,3 +44,12 @@ def dag_slice_triples(seed, max_nodes=15, max_times=5, density=2.0):
         t = int(rng.integers(0, nt))
         triples.add((u, v, t))
     return sorted(triples)
+
+
+def wide_sparse_rows(seed=17) -> tuple[list, list]:
+    """(edge rows, self-loop rows) of a wide, sparse graph: 1000 random
+    edges among 400 nodes over 1000 stamps, about 2000 active ids, and a
+    self-loop that registers each of 10**5 nodes at one of the stamps."""
+    rng = random.Random(seed)
+    rows = [(rng.randrange(400), rng.randrange(400), rng.randrange(1000)) for _ in range(1000)]
+    return rows, [(v, v, v % 1000) for v in range(100_000)]
